@@ -1,11 +1,11 @@
 """Sparse fixpoint engine vs the legacy pure-Python reference.
 
 Times both engines on the workload shapes that stress different paths — a
-tiny chain (call overhead), an iteration-heavy slow-mixing chain (the
-dense Gauss-Seidel operator path), state-heavy truncated walks (the CSR
-path and the int64 frontier explorer), the fractional Table 1 shapes
-riding the scaled-lattice fixed-point explorer, and the slow-mixing
-gambler-N ladder exercising the solve-then-certify oracles — asserting
+tiny chain (call overhead), an iteration-heavy slow-mixing chain,
+state-heavy truncated walks (large CSR sweeps and the int64 frontier
+explorer), the fractional Table 1 shapes riding the scaled-lattice
+fixed-point explorer, and the slow-mixing gambler-N ladder exercising the
+certified direct solve — asserting
 bracket agreement and recording every entry to ``BENCH_fixpoint.json``
 through the session recorder in ``conftest.py``.  The ladder workloads
 skip the reference engine (pure-Python sweeps would take minutes to

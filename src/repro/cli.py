@@ -50,7 +50,6 @@ Example::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -155,7 +154,7 @@ def _cmd_exact(args) -> int:
     model = build_sparse_model(
         result.pts, max_states=args.max_states, explore=args.explore
     )
-    bracket = iterate_model(model, schedule=args.schedule, solver=args.solver)
+    bracket = iterate_model(model, solver=args.solver)
     print(f"explored states : {bracket.states}{' (truncated)' if bracket.truncated else ''}")
     print(f"vpf bracket     : [{bracket.lower:.9g}, {bracket.upper:.9g}]")
     print(f"iterations      : {bracket.iterations}")
@@ -603,21 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: auto picks among all three)",
     )
     p_exact.add_argument(
-        "--schedule",
-        choices=["auto", "jacobi", "gauss-seidel"],
-        default="auto",
-        help="CSR sweep schedule above 2048 states: jacobi (default) or "
-        "blocked gauss-seidel (reference schedule, ~half the sweeps)",
-    )
-    p_exact.add_argument(
         "--solver",
-        choices=["auto", "sweep", "direct", "sor", "anderson"],
-        default=os.environ.get("REPRO_SOLVER", "auto"),
-        help="value-iteration solver: pure monotone sweeping, or an oracle "
-        "(sparse direct / SOR / Anderson) whose candidate is adopted only "
+        choices=["auto", "sweep"],
+        default="auto",
+        help="value-iteration solver: pure monotone sweeping, or (auto, the "
+        "default) a sparse direct solve whose candidate is adopted only "
         "after monotone certification sweeps prove it brackets the fixed "
-        "point (default: auto = certified direct solve; REPRO_SOLVER "
-        "overrides the default)",
+        "point",
     )
     p_exact.add_argument(
         "--certificate",
@@ -732,10 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--solver",
-        choices=["auto", "sweep", "direct", "sor", "anderson"],
-        default=os.environ.get("REPRO_SOLVER", "auto"),
-        help="value-iteration solver to benchmark (default: auto, or "
-        "REPRO_SOLVER)",
+        choices=["auto", "sweep"],
+        default="auto",
+        help="value-iteration solver to benchmark (default: auto)",
     )
     p_bench.add_argument("--out", default="BENCH_fixpoint.json")
     p_bench.set_defaults(fn=_cmd_bench)

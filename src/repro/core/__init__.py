@@ -6,8 +6,8 @@ per synthesis family — §5.1 Hoeffding/RepRSM (:func:`hoeffding_synthesis`),
 and polynomial lower bounds — plus invariant generation, termination
 proofs, prior-work baselines, and the ground-truth fixpoint engine
 (:func:`value_iteration` / :func:`exact_vpf`) with its int64
-frontier-batch exploration fast path, pluggable sweep schedules, and
-per-run translation-validation certificates
+frontier-batch exploration fast path, its one CSR sweep kernel with the
+certified direct solve, and per-run translation-validation certificates
 (:mod:`repro.core.runcert`: :func:`emit_run_certificate` /
 :func:`verify_run_certificate`).
 

@@ -55,41 +55,24 @@ Exploration runs on one of three interchangeable engines producing
   arbitrary magnitudes with exact rational arithmetic.
 
 Both emit COO triplets ``(state, successor, probability)`` plus
-fail/terminate/overflow masks; the value-iteration passes then run as a
-single matrix-times-two-column product per sweep — ``scipy.sparse`` CSR for
-large systems, a dense ``numpy`` matrix when the state count is small
-enough that sparse call overhead dominates — with a sup-norm convergence
-check.
+fail/terminate/overflow masks, assembled into one ``scipy.sparse`` CSR
+matrix whatever the state count.  Value iteration is one kernel: Jacobi
+sweeps ``X <- A X + B`` over a two-column iterate (the lower and upper
+passes side by side) with a sup-norm convergence check, and — after a
+32-sweep warmup — the certified direct solve of :mod:`repro.core.solvers`.
+A sparse LU solve of ``(I - A) x = b`` proposes a candidate, and a
+constant number of monotone certification sweeps either proves it
+brackets the fixed point (clamping it into a valid lower/upper pair, plus
+a contraction witness for the lower side) or rejects it and falls back to
+plain sweeping from the unchanged, still-valid iterate.  The emitted
+bracket is rigorous either way — the oracle is pure acceleration, never
+trusted.
 
 The legacy pure-Python engine is preserved in
-:mod:`repro.core.fixpoint_reference` and the equivalence suite keeps all
-paths in lockstep.  The reference sweep updates states in place — a
-Gauss-Seidel schedule.  On the dense path the vectorized engine reproduces
-that schedule *exactly*: with ``A = L + U`` split at the strict lower
-triangle (in BFS state order), one in-place sweep is the affine map
-``x' = (I - L)^{-1} (U x + b)``, and ``(I - L)`` is unit lower triangular,
-hence always invertible, so we precompute ``G = (I - L)^{-1} U`` once and
-sweep with a single matvec.  Iteration counts and converged values then
-match the reference to float rounding.  The CSR path defaults to the
-simultaneous (Jacobi) schedule — same fixed point, monotone from the same
-lattice elements, but slow-mixing chains may need up to ~2x the sweeps of
-the reference.  For those, ``schedule="gauss-seidel"`` runs a *blocked*
-Gauss-Seidel sweep: the state space is cut into contiguous
-``_DENSE_STATE_LIMIT``-sized blocks and each sweep performs one sparse
-triangular solve per block (unit-diagonal ``(I - L_kk)``), which reproduces
-the reference's in-place schedule exactly — at a higher per-sweep cost,
-worthwhile when Jacobi's extra sweeps dominate.
-
-Slow-mixing chains need tens of thousands of sweeps under *any* schedule,
-so ``value_iteration(solver=...)`` adds a solve-then-certify layer
-(:mod:`repro.core.solvers`): after a short sweep warmup, an untrusted
-oracle (sparse direct solve of ``(I - A) x = b``, SOR, or Anderson
-acceleration) proposes a candidate, and a constant number of monotone
-certification sweeps either proves it brackets the fixed point (clamping
-it into a valid lower/upper pair, plus a contraction witness for the
-lower side) or rejects it and falls back to plain sweeping from the
-unchanged, still-valid iterate.  The emitted bracket is rigorous either
-way — the oracle is pure acceleration, never trusted.
+:mod:`repro.core.fixpoint_reference` and the equivalence suite keeps the
+brackets in lockstep.  The reference sweeps in place (a Gauss-Seidel
+schedule), so its iteration counts differ from the Jacobi sweeps here;
+the fixed point it converges to does not.
 """
 
 from __future__ import annotations
@@ -134,13 +117,10 @@ State = Tuple[str, Tuple[Fraction, ...]]
 #: v3: solve-then-certify value iteration (oracle candidates adopted only
 #: after monotone certification) + the tiny-model explorer heuristic, which
 #: changes ``explore="auto"`` engine selection on small state spaces
-FIXPOINT_FINGERPRINT = "scaled-int64-frontier.certified-solve.v3"
-
-#: below this many states a dense matrix beats CSR (per-call overhead of
-#: scipy.sparse matvecs dominates on iteration-heavy, state-light chains)
-#: and the exact Gauss-Seidel operator (n x n dense) is affordable; it is
-#: also the block size of the blocked Gauss-Seidel CSR schedule
-_DENSE_STATE_LIMIT = 2048
+#: v4: one value-iteration kernel — CSR Jacobi sweeps on every model (the
+#: dense exact-Gauss-Seidel operator of small models is gone), which
+#: changes sweep counts and last-ulp brackets below 2048 states
+FIXPOINT_FINGERPRINT = "scaled-int64-frontier.csr-jacobi.v4"
 
 #: state values beyond this abort the int64 frontier BFS (fallback to the
 #: exact Fraction path); chosen so that every guard/update product stays
@@ -182,7 +162,6 @@ _SCALED_GUARD_SLACK = 5e-10
 _FLOAT_ULP = 2.0**-53
 
 _EXPLORE_MODES = ("auto", "int64", "scaled", "fraction")
-_SCHEDULES = ("auto", "jacobi", "gauss-seidel")
 
 #: thin-frontier bailout (``explore="auto"`` only): after this many BFS
 #: levels, a run averaging fewer than ``_THIN_MIN_WIDTH`` states per level
@@ -217,7 +196,7 @@ class ValueIterationResult:
     truncated: bool  # True when the reachable set overflowed max_states
     #: which solver produced the adopted bracket: ``"sweep"`` when plain
     #: monotone sweeping did (including every oracle rejection/fallback),
-    #: else the oracle name (``"direct"``/``"sor"``/``"anderson"``)
+    #: else ``"direct"`` (a certified direct-solve candidate was adopted)
     solver: str = "sweep"
     #: True when *both* bracket sides were adopted from a certified oracle
     #: candidate (the bracket carries its own proof; see repro.core.solvers)
@@ -675,7 +654,7 @@ class SparseFixpointModel:
     """
 
     n: int
-    matrix: object  # csr_matrix or np.ndarray, shape (n, n)
+    matrix: csr_matrix  # shape (n, n)
     b_lower: np.ndarray  # per-state affine offset of the lower pass
     b_upper: np.ndarray  # ... of the upper pass (includes overflow mass)
     x0_lower: np.ndarray  # bottom lattice element (fail states pinned to 1)
@@ -711,19 +690,13 @@ class SparseFixpointModel:
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz) if hasattr(self.matrix, "nnz") else int(
-            np.count_nonzero(self.matrix)
-        )
+        return int(self.matrix.nnz)
 
 
-def _matrix_from_triplets(n: int, rows, cols, probs):
-    """Dense below the cutoff, CSR above — identical triplet order in, so
-    duplicate ``(i, j)`` summation is bit-identical across explorers."""
-    if n <= _DENSE_STATE_LIMIT:
-        matrix: object = np.zeros((n, n))
-        np.add.at(matrix, (rows, cols), probs)
-        return matrix
-    # duplicate (i, j) entries sum, matching successor-list semantics
+def _matrix_from_triplets(n: int, rows, cols, probs) -> csr_matrix:
+    """CSR from COO triplets; duplicate ``(i, j)`` entries sum, matching
+    successor-list semantics.  Every explorer emits the same triplet
+    order, so the summation is bit-identical across explorers."""
     return csr_matrix((probs, (rows, cols)), shape=(n, n))
 
 
@@ -1174,59 +1147,36 @@ def iterate_model(
     model: SparseFixpointModel,
     max_iterations: int = 100_000,
     tol: float = 1e-12,
-    schedule: str = "auto",
     solver: str = "auto",
 ) -> ValueIterationResult:
     """Run the value-iteration passes over an already-built sparse model.
 
-    ``schedule`` selects the sweep kernel (see :func:`value_iteration`);
-    ``solver`` the solve-then-certify policy:
+    Every sweep is one CSR matvec ``X <- A X + B`` over the two-column
+    (lower, upper) iterate.  ``solver`` selects the solve-then-certify
+    policy:
 
-    * ``"sweep"`` — plain monotone sweeping to ``tol``, exactly the legacy
-      behavior (bit-identical results and iteration counts);
-    * ``"direct"``/``"sor"``/``"anderson"`` — after a short sweep warmup
-      (fast-mixing systems converge inside it and never pay oracle setup),
-      run that oracle on ``(I - A) x = [b_lower, b_upper, 1]``, certify the
+    * ``"sweep"`` — plain monotone sweeping to ``tol``;
+    * ``"auto"`` — after a short sweep warmup (fast-mixing systems
+      converge inside it and never pay oracle setup), solve
+      ``(I - A) x = [b_lower, b_upper, 1]`` directly, certify the
       candidate with monotone sweeps (:func:`repro.core.solvers
       .certify_bracket`; the third column is the lower side's contraction
       witness), adopt whatever certifies, and resume sweeping from the —
-      certified or unchanged — iterate as polish and fallback;
-    * ``"auto"`` — same flow with the direct oracle, the reliably fastest
-      certifiable candidate on every bench workload.
+      certified or unchanged — iterate as polish and fallback.
 
     A fully certified adoption (both sides) ends the run immediately: the
     bracket then carries its own proof and further sweeps could only
     shrink it below oracle precision.
     """
-    if schedule not in _SCHEDULES:
-        raise ValueError(f"schedule must be one of {_SCHEDULES}, got {schedule!r}")
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     n = model.n
     x = np.stack([model.x0_lower, model.x0_upper], axis=1)
     b = np.stack([model.b_lower, model.b_upper], axis=1)
     matrix = model.matrix
-    if isinstance(matrix, np.ndarray):
-        # dense path: precompute the exact Gauss-Seidel sweep operator so the
-        # schedule (and hence iteration counts) matches the reference engine
-        strict_lower = np.tril(matrix, k=-1)
-        sweep_inv = np.linalg.inv(np.eye(n) - strict_lower)
-        op = sweep_inv @ (matrix - strict_lower)
-        off = sweep_inv @ b
 
-        def sweep(v):
-            return op @ v + off
-
-    elif schedule == "gauss-seidel":
-        blocks = _solvers.gs_blocks(matrix, n)
-
-        def sweep(v):
-            return _solvers.gs_sweep(blocks, v, b)
-
-    else:
-
-        def sweep(v):
-            return matrix @ v + b
+    def sweep(v):
+        return matrix @ v + b
 
     iterations = 0
     converged = False
@@ -1236,7 +1186,7 @@ def iterate_model(
         for _ in range(budget):
             iterations += 1
             x_new = sweep(x)
-            delta = float(np.abs(x_new - x).max()) if n else 0.0
+            delta = float(np.abs(x_new - x).max())
             x = x_new
             if delta <= tol:
                 converged = True
@@ -1265,27 +1215,23 @@ def iterate_model(
         "tol": tol,
     }
 
-    if solver != "sweep":
+    if solver == "auto":
         x = sweep_until(x, min(_solvers.WARMUP_SWEEPS, max_iterations))
         if not converged and iterations < max_iterations:
-            oracle = "direct" if solver == "auto" else solver
             rhs = np.column_stack([model.b_lower, model.b_upper, np.ones(n)])
-            x0 = np.column_stack([x, np.ones(n)])
             try:
-                candidate = _solvers.run_oracle(
-                    model.matrix, rhs, x0, oracle, n, tol
-                )
+                candidate = _solvers.run_oracle(matrix, rhs, n)
             except _solvers.OracleFailure:
                 candidate = None
             if candidate is not None:
-                resid = model.matrix @ candidate[:, :2] + b - candidate[:, :2]
-                oracle_residual = float(np.abs(resid).max()) if n else 0.0
+                resid = sweep(candidate[:, :2]) - candidate[:, :2]
+                oracle_residual = float(np.abs(resid).max())
                 allow_lower = _solvers.contraction_witness_ok(
-                    model.matrix, candidate[:, 2]
+                    matrix, candidate[:, 2]
                 )
                 certify_sweeps += 1  # the witness matvec
                 x, ok_lower, ok_upper, sweeps = _solvers.certify_bracket(
-                    model.matrix,
+                    matrix,
                     b,
                     x,
                     candidate[:, :2],
@@ -1294,16 +1240,11 @@ def iterate_model(
                     allow_lower,
                 )
                 certify_sweeps += sweeps
-                # replicate the certifier's nudge selection for the
-                # witness evidence (see certify_bracket)
-                witness = candidate[:, 2]
-                if np.isfinite(witness).all() and bool((witness > 0.0).all()):
-                    nudge = witness
-                else:
-                    nudge = np.ones(n)
+                # the witness evidence is the certifier's nudge direction
+                nudge = _solvers.nudge_direction(candidate[:, 2])
                 base = max(oracle_residual, 2.0**-52)
                 vi_evidence.update(
-                    oracle=oracle,
+                    oracle="direct",
                     warmup_sweeps=_solvers.WARMUP_SWEEPS,
                     witness_sha256=hashlib.sha256(
                         np.ascontiguousarray(nudge.astype("<f8")).tobytes()
@@ -1319,26 +1260,18 @@ def iterate_model(
                     adopted_upper=bool(ok_upper),
                 )
                 if ok_lower or ok_upper:
-                    used_solver = oracle
+                    used_solver = "direct"
                     # one extra matvec measures the adopted iterate's
                     # fixed-point margins — the checkable residue of the
                     # Knaster–Tarski argument (post-fixpoint: T(x) >= x
                     # on the lower column; pre-fixpoint: T(x) <= x on
                     # the upper).  Evidence only: certify_sweeps and the
                     # bracket itself are untouched.
-                    swept_adopted = model.matrix @ x + b
+                    margin = sweep(x) - x
                     if ok_lower:
-                        vi_evidence["post_fixpoint_margin"] = (
-                            float((swept_adopted[:, 0] - x[:, 0]).min())
-                            if n
-                            else 0.0
-                        )
+                        vi_evidence["post_fixpoint_margin"] = float(margin[:, 0].min())
                     if ok_upper:
-                        vi_evidence["pre_fixpoint_margin"] = (
-                            float((x[:, 1] - swept_adopted[:, 1]).min())
-                            if n
-                            else 0.0
-                        )
+                        vi_evidence["pre_fixpoint_margin"] = float(-margin[:, 1].max())
                 if ok_lower and ok_upper:
                     certified = True
                     # the bracket carries its own proof; end the run when
@@ -1371,7 +1304,6 @@ def value_iteration(
     max_iterations: int = 100_000,
     tol: float = 1e-12,
     explore: str = "auto",
-    schedule: str = "auto",
     solver: str = "auto",
 ) -> ValueIterationResult:
     """Compute a rigorous bracket on ``vpf(l_init, v_init)`` by iterating
@@ -1381,24 +1313,14 @@ def value_iteration(
     array per sweep; convergence is a sup-norm check at ``tol``.
 
     ``explore`` selects the exploration engine (see
-    :func:`build_sparse_model`).  ``schedule`` selects the CSR sweep
-    schedule: ``"jacobi"`` (the ``"auto"`` default — simultaneous updates,
-    cheapest sweep) or ``"gauss-seidel"`` (blocked triangular solves
-    reproducing the reference's in-place schedule, worthwhile on
-    slow-mixing chains).  The dense path (``n <= 2048``) always uses the
-    exact Gauss-Seidel operator regardless of ``schedule``.  ``solver``
-    selects the solve-then-certify policy (see :func:`iterate_model`):
-    ``"sweep"`` is the legacy pure-sweeping engine, the others accelerate
-    slow-mixing systems through certified oracle candidates without
-    weakening the bracket.
+    :func:`build_sparse_model`); ``solver`` the solve-then-certify policy
+    (see :func:`iterate_model`): ``"sweep"`` sweeps only, ``"auto"``
+    accelerates slow-mixing systems through a certified direct-solve
+    candidate without weakening the bracket.
     """
     model = build_sparse_model(pts, max_states, explore=explore)
     return iterate_model(
-        model,
-        max_iterations=max_iterations,
-        tol=tol,
-        schedule=schedule,
-        solver=solver,
+        model, max_iterations=max_iterations, tol=tol, solver=solver
     )
 
 

@@ -7,9 +7,9 @@ breadth-first exploration order, the same overflow pessimization, the same
 engine in :mod:`repro.core.fixpoint` must produce brackets that agree with
 this one to within iteration tolerance on every discrete program — the
 equivalence suites (``tests/test_fixpoint_equivalence.py`` for the scalar
-Fraction explorer, ``tests/test_fixpoint_int.py`` for the int64
-frontier-batch explorer and the blocked Gauss-Seidel schedule) enforce
-that on the example programs and on randomized PTSs.
+Fraction explorer, ``tests/test_fixpoint_int.py`` for the int64 and
+scaled-int64 frontier-batch explorers) enforce that on the example
+programs and on randomized PTSs.
 
 Do not optimize this module; its value is being slow and obviously correct.
 """

@@ -28,8 +28,8 @@ replays every level digest from the embedded state table, validates
 state well-formedness against the re-derived lattice limits, and sanity-
 checks the value-iteration evidence — all without running exploration or
 a single sweep.  ``repro verify-certificate`` exposes it on the command
-line, and the CI ``certificates`` job gates PRs on it (the bitwise
-two-engine re-run is demoted to the nightly bench workflow).
+line, and the CI ``certificates`` job gates PRs on it (it replaced the
+bitwise two-engine re-run).
 
 Certificates ride the engine cache as sidecar blobs next to their
 ``ResultCache`` entries (see :mod:`repro.engine.cache`) and deliberately
@@ -925,12 +925,11 @@ def synthesize_exact(task, deps=None, engine=None):
     pts, _invariants = task.program.resolve()
     max_states = int(task.param("max_states", 200_000))
     explore = task.param("explore", "auto")
-    schedule = task.param("schedule", "auto")
     solver = task.param("solver", "auto")
     from repro.core.fixpoint import build_sparse_model, iterate_model
 
     model = build_sparse_model(pts, max_states=max_states, explore=explore)
-    result = iterate_model(model, schedule=schedule, solver=solver)
+    result = iterate_model(model, solver=solver)
     cert = emit_run_certificate(
         pts,
         model,

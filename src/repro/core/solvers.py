@@ -1,17 +1,16 @@
-"""Solve-then-certify oracles for the value-iteration bracket passes.
+"""Solve-then-certify for the value-iteration bracket passes.
 
 The fixpoint engine (:mod:`repro.core.fixpoint`) computes a rigorous
-bracket ``lower <= vpf <= upper`` by monotone sweeps of the affine
-transformer ``T(x) = A x + b`` — increasing from the lattice bottom
-(``lfp``), decreasing from the top (``gfp``).  Slow-mixing chains need
-tens of thousands of sweeps to pass a 1e-12 tolerance, which made value
-iteration the last super-second phase of every bench workload.
+bracket ``lower <= vpf <= upper`` by monotone Jacobi sweeps of the affine
+transformer ``T(x) = A x + b`` over a CSR matrix — increasing from the
+lattice bottom (``lfp``), decreasing from the top (``gfp``).  Slow-mixing
+chains need tens of thousands of sweeps to pass a 1e-12 tolerance.
 
 This module removes that cost without weakening the bracket, following
 the translation-validation posture of the exploration engines: *don't
-trust the fast path — check its answer*.  An **oracle** (sparse direct
-solve, SOR, Anderson acceleration) produces a candidate ``x*`` by any
-means whatsoever; a constant number of monotone **certification sweeps**
+trust the fast path — check its answer*.  The **oracle**, a sparse direct
+solve of ``(I - A) x = b``, produces a candidate ``x*`` that nothing
+downstream trusts; a constant number of monotone **certification sweeps**
 then decides whether the candidate may be adopted:
 
 * **Upper side (unconditional).**  ``A >= 0`` makes ``T`` monotone, so by
@@ -30,7 +29,7 @@ then decides whether the candidate may be adopted:
   with ``(I - A)^{-1} = sum A^k >= 0``, and ``T(l) >= l`` gives
   ``lfp - l = (I - A)^{-1} (T(l) - l) >= 0``.  The natural witness is the
   expected-visits vector solving ``(I - A) w = 1`` (exact residual ``1``,
-  so the ``1/2`` margin tolerates enormous oracle error); every oracle
+  so the ``1/2`` margin tolerates enormous oracle error); the oracle
   simply carries ``ones`` as a third right-hand-side column, and the
   witness check is one more sweep.
 
@@ -57,7 +56,7 @@ had any margin).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -67,16 +66,17 @@ __all__ = [
     "SLACK_MULTIPLES",
     "OracleFailure",
     "run_oracle",
+    "nudge_direction",
     "contraction_witness_ok",
     "certify_bracket",
-    "gs_blocks",
-    "gs_sweep",
 ]
 
-#: accepted values of the ``solver`` parameter of ``value_iteration``
-SOLVERS = ("auto", "sweep", "direct", "sor", "anderson")
+#: accepted values of the ``solver`` parameter of ``value_iteration``:
+#: ``"auto"`` (sweep warmup, then the certified direct solve) or
+#: ``"sweep"`` (monotone sweeping only)
+SOLVERS = ("auto", "sweep")
 
-#: plain sweeps run before ``solver="auto"`` engages an oracle: fast-mixing
+#: plain sweeps run before ``solver="auto"`` engages the oracle: fast-mixing
 #: systems converge inside the warmup and never pay oracle setup, keeping
 #: their results bit-identical to ``solver="sweep"``
 WARMUP_SWEEPS = 32
@@ -84,263 +84,58 @@ WARMUP_SWEEPS = 32
 #: witness-direction nudge ladder: multiples of the oracle residual tried
 #: (in order) as the ``eps`` of the ``eps * w`` outward shift; the final
 #: rung is additionally floored so the worst-case bracket inflation
-#: ``eps * max(w)`` reaches ``_SLACK_CAP`` before giving up
+#: ``eps * max(w)`` reaches ``SLACK_CAP`` before giving up
 SLACK_MULTIPLES = (2.0, 16.0, 256.0)
 
-#: absolute bracket-inflation budget of the last ladder rung (also the
-#: agreement tolerance the solver-parity gate checks oracles against).
-#: ``SLACK_CAP`` is the public name recorded in run certificates; the
-#: underscored alias is kept for the certifier's internal use.
+#: absolute bracket-inflation budget of the last ladder rung, recorded in
+#: run certificates; also the outward-escape tolerance the certificate
+#: gate and the fuzz farm hold ``solver="auto"`` to against pure sweeps
 SLACK_CAP = 1e-9
-_SLACK_CAP = SLACK_CAP
 
 #: required componentwise margin of ``w - A w`` for the contraction
 #: witness; the exact residual of the expected-visits vector is 1, so a
 #: candidate ``w`` may be off by half its magnitude and still certify
 WITNESS_MARGIN = 0.5
 
-#: dense systems at or below this order use ``numpy.linalg.solve``; larger
-#: dense matrices are converted to CSR for the (near-fill-free under the
-#: BFS ordering) SuperLU NATURAL factorization instead of paying the
-#: O(n^3) dense solve
-_DENSE_SOLVE_LIMIT = 512
-
-#: iteration caps of the iterative oracles (they stop early at tolerance;
-#: certification makes a non-converged candidate safe, just useless)
-_SOR_SWEEP_CAP = 4096
-_ANDERSON_CAP = 512
-_ANDERSON_WINDOW = 8
-
-#: a delta blowing past this aborts the over-relaxed SOR schedule (the
-#: omega estimate is meaningless on strongly non-normal systems, e.g.
-#: counter-carrying DAG-shaped walks); SOR then restarts at omega = 1 —
-#: an exact Gauss-Seidel sweep, which always converges here
-_SOR_DIVERGENCE_LIMIT = 1e6
-
-#: power-iteration steps of the SOR spectral-radius estimate
-_RHO_ESTIMATE_SWEEPS = 24
-
-#: block size of the blocked Gauss-Seidel CSR schedule (mirrors the dense
-#: cutoff of the fixpoint engine; one sparse triangular solve per block)
-GS_BLOCK = 2048
-
 
 class OracleFailure(Exception):
-    """An oracle could not produce a candidate (singular system, memory,
-    divergence).  Callers fall back to monotone sweeping."""
+    """The oracle could not produce a candidate (singular system, memory).
+    Callers fall back to monotone sweeping."""
 
 
 # ---------------------------------------------------------------------------
-# blocked Gauss-Seidel sweep machinery (shared by the "gauss-seidel"
-# schedule and the SOR oracle)
+# oracle: candidate producer (untrusted; certification follows)
 # ---------------------------------------------------------------------------
 
 
-def gs_blocks(matrix, n: int) -> List[Tuple]:
-    """Per-block data of the blocked Gauss-Seidel sweep: contiguous
-    ``GS_BLOCK``-sized row blocks, each with its rows as CSR, its strict
-    in-block lower triangle, and a SuperLU factorization of the
-    unit-lower-triangular ``(I - L_kk)`` under the NATURAL ordering (the
-    factorization of a triangular matrix is itself, so this is setup-free
-    in exact arithmetic and ``lu.solve`` is an order of magnitude faster
-    per sweep than ``spsolve_triangular``)."""
-    from scipy.sparse import eye, tril
-    from scipy.sparse.linalg import splu
-
-    blocks = []
-    for s in range(0, n, GS_BLOCK):
-        e = min(n, s + GS_BLOCK)
-        row_block = matrix[s:e, :].tocsr()
-        strict_lower = tril(matrix[s:e, s:e], k=-1, format="csr")
-        if strict_lower.nnz:
-            solver = splu(
-                (eye(e - s, format="csr") - strict_lower).tocsc(),
-                permc_spec="NATURAL",
-            )
-            blocks.append((s, e, row_block, strict_lower, solver))
-        else:
-            blocks.append((s, e, row_block, None, None))
-    return blocks
-
-
-def gs_sweep(blocks, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One blocked Gauss-Seidel sweep ``x -> x'`` (input left untouched).
-
-    Earlier blocks are updated in place before later ones read them and
-    the in-block strict-lower contribution is solved implicitly, so a full
-    sweep uses the *latest* value for every already-visited state —
-    exactly the reference engine's in-place schedule."""
-    x_prev = x
-    x = x.copy()
-    for s, e, row_block, strict_lower, solver in blocks:
-        rhs = row_block @ x + b[s:e]
-        if strict_lower is not None:
-            rhs -= strict_lower @ x_prev[s:e]
-            x[s:e] = solver.solve(rhs)
-        else:
-            x[s:e] = rhs
-    return x
-
-
-# ---------------------------------------------------------------------------
-# oracles: candidate producers (untrusted; certification follows)
-# ---------------------------------------------------------------------------
-
-
-def _oracle_direct(matrix, rhs: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``(I - A) x = rhs`` directly: LAPACK for small dense systems,
-    SuperLU with the NATURAL column ordering otherwise — the BFS state
-    order makes ``I - A`` nearly lower triangular, so natural-order LU
-    fill stays around 2x the matrix nnz where COLAMD pays 8x."""
-    from scipy.sparse import csr_matrix, identity
+def run_oracle(matrix, rhs: np.ndarray, n: int) -> np.ndarray:
+    """Produce an (untrusted) candidate solution of ``(I - A) x = rhs``
+    for every right-hand-side column by a sparse direct solve: SuperLU
+    with the NATURAL column ordering — the BFS state order makes
+    ``I - A`` nearly lower triangular, so natural-order LU fill stays
+    around 2x the matrix nnz where COLAMD pays 8x.  Raises
+    :class:`OracleFailure` when no candidate can be produced at all."""
+    from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
     try:
-        if isinstance(matrix, np.ndarray) and n <= _DENSE_SOLVE_LIMIT:
-            return np.linalg.solve(np.eye(n) - matrix, rhs)
-        sparse = csr_matrix(matrix) if isinstance(matrix, np.ndarray) else matrix
-        lu = splu((identity(n, format="csr") - sparse).tocsc(), permc_spec="NATURAL")
+        lu = splu((identity(n, format="csr") - matrix).tocsc(), permc_spec="NATURAL")
         return lu.solve(rhs)
-    except (np.linalg.LinAlgError, RuntimeError, MemoryError, ValueError) as exc:
+    except (RuntimeError, MemoryError, ValueError) as exc:
         raise OracleFailure(f"direct solve failed: {exc}") from None
-
-
-def _estimate_rho(matrix, n: int) -> float:
-    """Power-iteration estimate of ``rho(A)`` on a positive vector (the
-    iterates of ``A^k 1`` expose the slowest-mixing mode)."""
-    v = np.ones(n)
-    rho = 0.0
-    for _ in range(_RHO_ESTIMATE_SWEEPS):
-        nxt = matrix @ v
-        top = float(nxt.max(initial=0.0))
-        if top <= 0.0 or not np.isfinite(top):
-            return 0.0
-        rho = top / float(v.max(initial=1.0))
-        v = nxt / top
-    return min(max(rho, 0.0), 1.0 - 1e-12)
-
-
-def _oracle_sor(
-    matrix, rhs: np.ndarray, x0: np.ndarray, n: int, tol: float
-) -> np.ndarray:
-    """Successive over-relaxation with a spectral-radius-guided relaxation
-    factor ``omega = 2 / (1 + sqrt(1 - rho_J^2))`` (the consistently-
-    ordered optimum; any overshoot is caught by certification, not
-    trusted).  One sweep solves ``(I - omega L) x' = ((1 - omega) I +
-    omega (A - L)) x + omega rhs`` — the component-wise SOR schedule, with
-    the strict-lower contribution implicit exactly as in the blocked
-    Gauss-Seidel kernel."""
-    def make_sweep(omega):
-        if isinstance(matrix, np.ndarray):
-            strict_lower = np.tril(matrix, k=-1)
-            m_inv = np.linalg.inv(np.eye(n) - omega * strict_lower)
-            op = m_inv @ (
-                (1.0 - omega) * np.eye(n) + omega * (matrix - strict_lower)
-            )
-            off = m_inv @ (omega * rhs)
-            return lambda v: op @ v + off
-        from scipy.sparse import csr_matrix, identity, tril
-        from scipy.sparse.linalg import splu
-
-        strict_lower = tril(matrix, k=-1, format="csr")
-        upper = csr_matrix(matrix - strict_lower)
-        try:
-            lu = splu(
-                (identity(n, format="csr") - omega * strict_lower).tocsc(),
-                permc_spec="NATURAL",
-            )
-        except (RuntimeError, MemoryError, ValueError) as exc:
-            raise OracleFailure(f"SOR factorization failed: {exc}") from None
-        return lambda v: lu.solve((1.0 - omega) * v + omega * (upper @ v + rhs))
-
-    rho = _estimate_rho(matrix, n)
-    omega = 2.0 / (1.0 + np.sqrt(max(0.0, 1.0 - rho * rho)))
-    omega = float(np.clip(omega, 1.0, 1.9))
-    sweep = make_sweep(omega)
-    x = x0.copy()
-    budget = _SOR_SWEEP_CAP
-    while budget > 0:
-        budget -= 1
-        x_new = sweep(x)
-        delta = float(np.abs(x_new - x).max()) if n else 0.0
-        if not np.isfinite(delta) or delta > _SOR_DIVERGENCE_LIMIT:
-            if omega == 1.0:
-                raise OracleFailure("SOR diverged at omega = 1")
-            # non-normal system: the over-relaxed schedule blew up, so
-            # restart from scratch as exact (omega = 1) Gauss-Seidel
-            omega = 1.0
-            sweep = make_sweep(omega)
-            x = x0.copy()
-            continue
-        x = x_new
-        if delta <= tol:
-            break
-    return x
-
-
-def _oracle_anderson(
-    matrix, rhs: np.ndarray, x0: np.ndarray, n: int, tol: float
-) -> np.ndarray:
-    """Anderson acceleration (window ``m``) over the Jacobi sweep
-    ``T(x) = A x + rhs``, run on the flattened multi-column iterate.  The
-    least-squares mixing can overshoot the monotone lattice freely — the
-    certification sweeps are what makes adopting the result sound."""
-    cols = x0.shape[1]
-    x = x0.reshape(-1).copy()
-
-    def apply_t(v):
-        return (matrix @ v.reshape(n, cols) + rhs).reshape(-1)
-
-    xs: List[np.ndarray] = []
-    fs: List[np.ndarray] = []
-    best = x
-    best_res = np.inf
-    fx = apply_t(x)
-    for _ in range(_ANDERSON_CAP):
-        f = fx - x
-        res = float(np.abs(f).max()) if n else 0.0
-        if not np.isfinite(res):
-            break
-        if res < best_res:
-            best, best_res = x, res
-        if res <= tol:
-            break
-        xs.append(x)
-        fs.append(f)
-        if len(xs) > _ANDERSON_WINDOW:
-            xs.pop(0)
-            fs.pop(0)
-        if len(xs) > 1:
-            df = np.stack([fs[i + 1] - fs[i] for i in range(len(fs) - 1)], axis=1)
-            dx = np.stack([xs[i + 1] - xs[i] for i in range(len(xs) - 1)], axis=1)
-            gamma, *_ = np.linalg.lstsq(df, f, rcond=None)
-            x = x + f - (dx + df) @ gamma
-        else:
-            x = fx
-        fx = apply_t(x)
-    if not np.isfinite(best_res):
-        raise OracleFailure("Anderson acceleration produced no finite iterate")
-    return best.reshape(n, cols)
-
-
-def run_oracle(
-    matrix, rhs: np.ndarray, x0: np.ndarray, oracle: str, n: int, tol: float
-) -> np.ndarray:
-    """Produce an (untrusted) candidate solution of ``(I - A) x = rhs``
-    for every right-hand-side column.  Raises :class:`OracleFailure` when
-    the oracle cannot deliver one at all."""
-    if oracle == "direct":
-        return _oracle_direct(matrix, rhs, n)
-    if oracle == "sor":
-        return _oracle_sor(matrix, rhs, x0, n, tol)
-    if oracle == "anderson":
-        return _oracle_anderson(matrix, rhs, x0, n, tol)
-    raise ValueError(f"unknown oracle {oracle!r}")
 
 
 # ---------------------------------------------------------------------------
 # certification: the only trusted code path
 # ---------------------------------------------------------------------------
+
+
+def nudge_direction(witness: np.ndarray) -> np.ndarray:
+    """The direction candidates are nudged along: the candidate witness
+    when it is finite and positive, else the all-ones vector."""
+    if np.isfinite(witness).all() and bool((witness > 0.0).all()):
+        return witness
+    return np.ones(len(witness))
 
 
 def contraction_witness_ok(matrix, w: np.ndarray) -> bool:
@@ -390,16 +185,13 @@ def certify_bracket(
     want_upper = finite_upper
     if not (want_lower or want_upper):
         return x, ok_lower, ok_upper, sweeps
-    if np.isfinite(witness).all() and bool((witness > 0.0).all()):
-        nudge = witness
-    else:
-        nudge = np.ones(len(witness))
+    nudge = nudge_direction(witness)
     w_max = float(nudge.max(initial=1.0))
     base = max(residual, 2.0**-52)
     ladder = [m * base for m in SLACK_MULTIPLES]
-    ladder[-1] = max(ladder[-1], _SLACK_CAP / w_max)
+    ladder[-1] = max(ladder[-1], SLACK_CAP / w_max)
     # strict-improvement floor/ceiling: sweep iterates can overshoot the
-    # [0, 1] lattice by an ulp (the dense GS operator rounds), and a
+    # [0, 1] lattice by an ulp (the matvec rounds), and a
     # garbage trial clipped to the lattice top would read as "improving"
     # on a 1 + ulp iterate — measure improvement against the clamped
     # iterate so vacuous all-zeros/all-ones trials are always rejections

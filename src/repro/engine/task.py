@@ -57,7 +57,11 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: and the cache stores certificates as ``*.cert.json`` sidecar blobs
 #: reattached on read; v4 pickles lack the field and have no sidecar, so
 #: they must read as misses.
-CACHE_KEY_VERSION = 5
+#: v6: one value-iteration kernel — every model runs CSR Jacobi sweeps
+#: (the dense exact-Gauss-Seidel operator below 2048 states is gone), so
+#: sweep counts and last-ulp brackets of small models changed and v5
+#: artifacts must read as misses.
+CACHE_KEY_VERSION = 6
 
 
 def _fixpoint_fingerprint() -> str:

@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 #: name -> (source, default max_states, integer_mode): small /
-#: iteration-heavy / state-heavy, covering both the dense and the CSR
-#: engine paths, plus two 100k-state all-integer Table 1 shapes where the
+#: iteration-heavy / state-heavy, covering CSR sweeps from 13 to 100k
+#: states, plus two 100k-state all-integer Table 1 shapes where the
 #: int64 frontier explorer shows its headroom over the exact Fraction BFS,
 #: and the three fractional Table 1 shapes the scaled-lattice (fixed-point
 #: int64) admission opened up (see ``PERFORMANCE.md``).  ``integer_mode``

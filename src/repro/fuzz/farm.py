@@ -2,7 +2,7 @@
 
 Each generated program is lowered through the full explorer/solver grid
 — ``fraction``/``int64``/``scaled`` where admitted, times
-``sweep``/``direct``/``sor``/``anderson`` — as an *engine task DAG*, so
+``sweep``/``auto`` — as an *engine task DAG*, so
 ``--jobs`` fans the grid out across workers and the engine's fault
 tolerance (retries, deadlines, pool self-healing) applies to fuzz runs
 exactly as it does to production tables.  The oracle stack, cheapest
@@ -45,16 +45,17 @@ from .generators import (
 )
 from .shrink import shrink_source
 
-#: every oracle mode of `iterate_model` the farm forces per explorer.
-DEFAULT_SOLVERS: Tuple[str, ...] = ("sweep", "direct", "sor", "anderson")
+#: every solver mode of `iterate_model` the farm forces per explorer.
+DEFAULT_SOLVERS: Tuple[str, ...] = ("sweep", "auto")
 
 #: bracket-overlap tolerance: every surviving bracket bounds the same
 #: truncated-model value, so intersections only fail by engine bugs.
 OVERLAP_TOL = 1e-9
 
-#: outward-escape tolerance vs the fraction/sweep baseline — loose
-#: enough for the iterative oracles' certification slack.
-ESCAPE_TOL = 1e-6
+#: outward-escape tolerance vs the fraction/sweep baseline: the
+#: certifier's slack budget ``repro.core.solvers.SLACK_CAP``, spelled as
+#: a literal so importing the farm does not import ``repro.core``.
+ESCAPE_TOL = 1e-9
 
 
 @dataclass

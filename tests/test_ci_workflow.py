@@ -7,8 +7,8 @@ promises (tier-1 + smoke + lint + the PR-blocking run-certificate,
 chaos fault-injection, and seeded fuzz-smoke gates on pushes and PRs;
 the non-blocking bench job on schedule/dispatch — plus advisory on
 fixpoint-touching PRs via a paths filter — with the artifact uploads,
-the nightly bitwise two-engine parity re-run, the budgeted fresh-seed
-fuzzing farm, and the ``REPRO_BENCH_GATE_FACTOR`` knob).
+the budgeted fresh-seed fuzzing farm, and the ``REPRO_BENCH_GATE_FACTOR``
+knob).
 """
 
 from pathlib import Path
@@ -80,7 +80,7 @@ class TestCIWorkflow:
         # the PR-blocking certificate gate: the fast path runs ONCE per
         # workload and its RunCertificate is independently verified —
         # explorer/solver regressions must fail CI without the 2x bitwise
-        # two-engine re-run (that re-run is demoted to nightly bench.yml)
+        # two-engine re-run (that re-run is retired)
         data, _ = _load("ci.yml")
         job = data["jobs"]["certificates"]
         text = _steps_text(job)
@@ -179,18 +179,16 @@ class TestBenchWorkflow:
         ]
         assert uploads[0]["with"]["path"] == "BENCH_fixpoint.json"
 
-    def test_bitwise_parity_rerun_moved_to_nightly(self):
-        # the full two-engine bitwise diff still runs — nightly, where its
-        # 2x cost is acceptable — and stays blocking within bench.yml
-        data, _ = _load("bench.yml")
-        job = data["jobs"]["bench"]
-        parity_steps = [
-            s
-            for s in job["steps"]
-            if "check_explorer_parity.py" in str(s.get("run", ""))
-        ]
-        assert parity_steps, "bench.yml lost the bitwise parity re-run"
-        assert not parity_steps[0].get("continue-on-error")
+    def test_retired_parity_tool_runs_in_no_workflow(self):
+        # the two-engine bitwise re-run is retired: certificates gate PRs,
+        # tests pin explorer bit-identity, and the certificate gate holds
+        # solver=auto to the sweep bracket — no workflow may call it
+        for path in sorted(WORKFLOWS.glob("*.yml")):
+            data, _ = _load(path.name)
+            for job_name, job in data["jobs"].items():
+                assert "check_explorer_parity" not in _steps_text(job), (
+                    f"{path.name}:{job_name} still runs the retired parity tool"
+                )
 
     def test_fuzz_farm_job_runs_budgeted_on_fresh_seeds(self):
         # the nightly farm: fresh seed base per run (github.run_id), a

@@ -69,7 +69,20 @@ class TestCrossCheck:
     def test_outward_escape_detected(self):
         cells = [
             _ok_cell("fraction", "sweep", 0.25, 0.25),
-            _ok_cell("fraction", "anderson", 0.2, 0.3),
+            _ok_cell("fraction", "auto", 0.2, 0.3),
+        ]
+        kinds = [k for k, _ in cross_check_cells(cells)]
+        assert "outward-escape" in kinds
+
+    def test_escape_tolerance_is_the_certifier_slack_budget(self):
+        from repro.core.solvers import SLACK_CAP
+        from repro.fuzz.farm import ESCAPE_TOL
+
+        assert ESCAPE_TOL == SLACK_CAP
+        # an escape a few slack budgets wide is a finding, not noise
+        cells = [
+            _ok_cell("fraction", "sweep", 0.25, 0.25),
+            _ok_cell("fraction", "auto", 0.25 - 8 * SLACK_CAP, 0.25),
         ]
         kinds = [k for k, _ in cross_check_cells(cells)]
         assert "outward-escape" in kinds

@@ -1,26 +1,28 @@
 """Soundness tests of the solve-then-certify oracle layer.
 
-The oracles (:mod:`repro.core.solvers`) are *untrusted* candidate
-producers; the only trusted code is the monotone certification sweep that
-decides adoption.  These tests attack that boundary directly:
+The direct-solve oracle (:mod:`repro.core.solvers`) is an *untrusted*
+candidate producer; the only trusted code is the monotone certification
+sweep that decides adoption.  These tests attack that boundary directly:
 
 * wrong, non-bracketing and NaN/inf candidates must be rejected and leave
   the bracket exactly where the sweeps put it (fallback is bitwise
   equivalent to ``solver="sweep"``),
 * the contraction witness must gate the lower side (a post-fixpoint
   without ``rho(A) < 1`` proves nothing about ``lfp``),
-* every oracle's adopted bracket on the Table 1 workload shapes must
-  overlap the pure-sweep bracket and never escape it outward beyond the
+* the adopted bracket on the Table 1 workload shapes must overlap the
+  pure-sweep bracket and never escape it outward beyond the
   certification slack budget.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.lang import compile_source
 from repro.core import solvers
 from repro.core.fixpoint import build_sparse_model, iterate_model, value_iteration
 from repro.core.solvers import (
+    SLACK_CAP,
     OracleFailure,
     certify_bracket,
     contraction_witness_ok,
@@ -40,16 +42,12 @@ while x >= 1 and x <= 119:
 assert x <= 0
 """
 
-#: outward-escape tolerance per oracle: direct adopts at near machine
-#: precision; sor/anderson nudge along the expected-visits witness whose
-#: magnitude inflates the slack (~eps * max(w))
-ORACLE_TOL = {"direct": 1e-9, "sor": 1e-6, "anderson": 1e-6}
 
 
 def _three_state_chain():
     """``x -> x+1`` w.p. 1/2, absorbed left into fail, right into success:
     a 3-interior-state fair walk with known exact fixpoint."""
-    matrix = np.array(
+    dense = np.array(
         [
             [0.0, 0.5, 0.0],
             [0.5, 0.0, 0.5],
@@ -58,9 +56,9 @@ def _three_state_chain():
     )
     b = np.column_stack([np.array([0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])])
     # exact lfp of both columns: ruin probabilities (3/4, 1/2, 1/4)
-    exact = np.linalg.solve(np.eye(3) - matrix, b[:, 0])
-    witness = np.linalg.solve(np.eye(3) - matrix, np.ones(3))
-    return matrix, b, exact, witness
+    exact = np.linalg.solve(np.eye(3) - dense, b[:, 0])
+    witness = np.linalg.solve(np.eye(3) - dense, np.ones(3))
+    return csr_matrix(dense), b, exact, witness
 
 
 class TestCertifyBracket:
@@ -151,34 +149,22 @@ class TestContractionWitness:
         assert not contraction_witness_ok(matrix, np.array([1.0, np.nan, 1.0]))
         assert not contraction_witness_ok(matrix, np.zeros(3))
         # stochastic row-sum-1 matrix: no finite witness exists at all
-        stochastic = np.full((3, 3), 1.0 / 3.0)
+        stochastic = csr_matrix(np.full((3, 3), 1.0 / 3.0))
         assert not contraction_witness_ok(stochastic, witness)
 
 
 class TestOracles:
     def test_direct_solves_to_machine_precision(self):
         matrix, b, exact, _ = _three_state_chain()
-        out = run_oracle(matrix, b, np.zeros_like(b), "direct", 3, 1e-12)
+        out = run_oracle(matrix, b, 3)
         assert np.abs(out[:, 0] - exact).max() < 1e-12
-
-    def test_sor_and_anderson_reach_tolerance(self):
-        matrix, b, exact, _ = _three_state_chain()
-        for oracle in ("sor", "anderson"):
-            out = run_oracle(matrix, b, np.zeros_like(b), oracle, 3, 1e-12)
-            assert np.abs(out[:, 0] - exact).max() < 1e-8, oracle
 
     def test_singular_system_raises_oracle_failure(self):
         # row sums exactly 1 make I - A singular: the oracle must fail
         # loudly (and the engine fall back), never return garbage silently
-        stochastic = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rhs = np.zeros((2, 2))
+        stochastic = csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(OracleFailure):
-            run_oracle(stochastic, rhs, rhs.copy(), "direct", 2, 1e-12)
-
-    def test_unknown_oracle_rejected(self):
-        matrix, b, _, _ = _three_state_chain()
-        with pytest.raises(ValueError):
-            run_oracle(matrix, b, b.copy(), "multigrid", 3, 1e-12)
+            run_oracle(stochastic, np.zeros((2, 2)), 2)
 
 
 class TestEngineFallback:
@@ -193,12 +179,12 @@ class TestEngineFallback:
         model = self._model()
         ref = iterate_model(model, solver="sweep")
 
-        def hostile_oracle(matrix, rhs, x0, oracle, n, tol):
+        def hostile_oracle(matrix, rhs, n):
             # wrong by a mile on every column, and claims nothing
-            return np.full_like(x0, 0.123)
+            return np.full_like(rhs, 0.123)
 
         monkeypatch.setattr(solvers, "run_oracle", hostile_oracle)
-        fast = iterate_model(model, solver="direct")
+        fast = iterate_model(model, solver="auto")
         assert fast.solver == "sweep"  # nothing adopted
         assert not fast.certified
         assert fast.lower == ref.lower
@@ -209,11 +195,11 @@ class TestEngineFallback:
         model = self._model()
         ref = iterate_model(model, solver="sweep")
 
-        def failing_oracle(matrix, rhs, x0, oracle, n, tol):
+        def failing_oracle(matrix, rhs, n):
             raise OracleFailure("injected")
 
         monkeypatch.setattr(solvers, "run_oracle", failing_oracle)
-        fast = iterate_model(model, solver="direct")
+        fast = iterate_model(model, solver="auto")
         assert fast.solver == "sweep"
         assert not fast.certified
         assert fast.lower == ref.lower
@@ -226,9 +212,9 @@ class TestEngineFallback:
         monkeypatch.setattr(
             solvers,
             "run_oracle",
-            lambda matrix, rhs, x0, oracle, n, tol: np.full_like(x0, np.nan),
+            lambda matrix, rhs, n: np.full_like(rhs, np.nan),
         )
-        fast = iterate_model(model, solver="direct")
+        fast = iterate_model(model, solver="auto")
         assert fast.solver == "sweep"
         assert fast.lower == ref.lower
         assert fast.upper == ref.upper
@@ -238,17 +224,15 @@ class TestOracleAgreement:
     """Adopted brackets vs pure sweeps on the Table 1 workload shapes."""
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    @pytest.mark.parametrize("oracle", ["direct", "sor", "anderson"])
-    def test_oracle_brackets_never_escape_the_sweep_bracket(self, name, oracle):
+    def test_oracle_brackets_never_escape_the_sweep_bracket(self, name):
         pts = compile_source(PROGRAMS[name], name=name).pts
         model = build_sparse_model(pts, max_states=50_000)
         ref = iterate_model(model, solver="sweep")
-        fast = iterate_model(model, solver=oracle)
-        tol = ORACLE_TOL[oracle]
+        fast = iterate_model(model, solver="auto")
         assert fast.lower <= fast.upper + 1e-12
         # tighter-or-equal up to the slack budget, never outward
-        assert fast.lower >= ref.lower - tol
-        assert fast.upper <= ref.upper + tol
+        assert fast.lower >= ref.lower - SLACK_CAP
+        assert fast.upper <= ref.upper + SLACK_CAP
 
     def test_fast_converging_models_stay_bit_identical_under_auto(self):
         # the warmup sweeps converge before any oracle engages, so auto is
@@ -287,6 +271,7 @@ class TestOracleAgreement:
         fast = value_iteration(pts, max_states=20_000, solver="auto")
         assert fast.certified
         assert fast.solver == "direct"
-        forced = value_iteration(pts, max_states=20_000, solver="sor")
-        assert forced.solver in ("sor", "sweep")
-        assert abs(forced.lower - fast.lower) < 1e-6
+        swept = value_iteration(pts, max_states=20_000, solver="sweep")
+        assert swept.solver == "sweep"
+        assert not swept.certified
+        assert abs(swept.lower - fast.lower) < 1e-6

@@ -1,33 +1,35 @@
 #!/usr/bin/env python3
 """PR-blocking run-certificate gate (the ``certificates`` CI job).
 
-The old ``explorer-parity`` job proved the fast path against the exact
-Fraction engine by *running everything twice* and diffing bitwise — a
-2x-cost check that only ever ran in CI.  This gate exercises the shape
-every production run now carries: the fast path runs **once**, emits its
-:class:`~repro.core.runcert.RunCertificate`, and the independent checker
+The fast path runs **once** per workload and emits its
+:class:`~repro.core.runcert.RunCertificate`; the independent checker
 re-derives the admission inequalities and replays the frontier digests
-without re-running exploration.  The full bitwise two-engine re-run
-still exists, demoted to the nightly bench workflow
-(``tools/check_explorer_parity.py``).
+without re-running exploration.  (This replaced a 2x-cost bitwise re-run
+of every workload on the exact Fraction engine; bitwise model identity
+across explorers is pinned by ``tests/test_fixpoint_int.py``.)
 
 Sections:
 
-* **explorer grid** — the parity workloads through their forced fast
+* **explorer grid** — the explorer workloads through their forced fast
   mode (``scaled``/``int64``); each certificate must verify both against
   the in-memory PTS and *self-contained* (checker recompiles the source
   embedded in the certificate);
-* **solver grid** — the solver-parity workloads through every oracle
-  (``auto``/``direct``/``sor``/``anderson``); evidence checks cover the
-  witness hash, the slack ladder and the pre/post-fixpoint margins;
+* **solver grid** — the solver workloads through ``sweep`` and ``auto``;
+  evidence checks cover the witness hash, the slack ladder and the
+  pre/post-fixpoint margins.  The ``auto`` bracket must also overlap the
+  sweep bracket (both contain vpf, so disjointness means one of them is
+  wrong) and never escape it outward by more than the certifier's slack
+  budget ``SLACK_CAP``; on the slow-mixing chain it must additionally be
+  fully certified and tighter-or-equal;
 * **corruption drills** — a bit-flipped file, a tampered frontier
   digest, a tampered admission multiplier and a stale engine
   fingerprint (the latter three re-signed, so only the semantic check
   can catch them) must each be *rejected*.
 
-Exit status 0 when every certificate verifies and every corruption is
-caught, 1 otherwise.  Needs ``repro`` importable (``PYTHONPATH=src``)
-and runs in seconds — no LP solver, no synthesis, no reference engine.
+Exit status 0 when every certificate verifies, every bracket agrees and
+every corruption is caught, 1 otherwise.  Needs ``repro`` importable
+(``PYTHONPATH=src``) and runs in seconds — no LP solver, no synthesis,
+no reference engine.
 """
 
 from __future__ import annotations
@@ -35,8 +37,138 @@ from __future__ import annotations
 import json
 import sys
 
-# sibling tool owns the workload tables; both run with tools/ on sys.path
-import check_explorer_parity as parity
+#: name -> (source, max_states, integer_mode, forced explore mode).
+#: Budgets are chosen so every workload truncates or absorbs within a few
+#: seconds.
+WORKLOADS = {
+    # Table 1's 3DWalk shape (0.1-steps, scale-10 lattice), truncated
+    "3dwalk-slice": (
+        "x := 10\ny := 10\nz := 10\n"
+        "while x >= 0 and y >= 0 and z >= 0:\n"
+        "    assert x + y + z <= 100\n"
+        "    if prob(0.9):\n        switch:\n"
+        "            prob(0.5): x, y := x - 1, y - 1\n"
+        "            prob(0.5): z := z - 1\n"
+        "    else:\n        switch:\n"
+        "            prob(0.5): x, y := x + 0.1, y + 0.1\n"
+        "            prob(0.5): z := z + 0.1\n",
+        4_000,
+        False,
+        "scaled",
+    ),
+    # Table 1's Robot shape (1.414 displacements, +-0.05 noise, scale 500)
+    "robot-slice": (
+        "noise ~ discrete((0.5, -0.05), (0.5, 0.05))\n"
+        "i := 0\nx := 0\nex := 0\n"
+        "while i <= 11:\n    switch:\n"
+        "        prob(0.2): i, x, ex := i + 1, x - 1.414 + noise, ex - 1.414\n"
+        "        prob(0.2): i, x, ex := i + 1, x + 1.414 + noise, ex + 1.414\n"
+        "        prob(0.2): i, x, ex := i + 1, x - 1 + noise, ex - 1\n"
+        "        prob(0.2): i, x, ex := i + 1, x + 1 + noise, ex + 1\n"
+        "        prob(0.2): i, x, ex := i + 1, x + noise, ex\n"
+        "assert x - ex <= 1.8",
+        4_000,
+        False,
+        "scaled",
+    ),
+    # mixed lattice: integral counter + half-integer accumulator, with a
+    # guard boundary hit exactly at a fractional state
+    "mixed-boundary": (
+        "i := 0\nx := 0\nwhile i <= 20 and x - 15/2 <= 0:\n"
+        "    if prob(0.5):\n        i, x := i + 1, x + 1/2\n"
+        "    else:\n        i := i + 1\n"
+        "assert x >= 8",
+        10_000,
+        False,
+        "scaled",
+    ),
+    # integer lattice control through the plain int64 frontier engine
+    "gambler-int": (
+        "x := 3\nwhile x >= 1 and x <= 9:\n    switch:\n"
+        "        prob(0.5): x := x + 1\n        prob(0.5): x := x - 1\n"
+        "assert x <= 0",
+        20_000,
+        True,
+        "int64",
+    ),
+}
+
+
+#: name -> (source, max_states, integer_mode, expect auto-certified).
+#: Small bracket workloads of three shapes: a slow-mixing fair walk (the
+#: solve-then-certify target regime), a drifted walk with a step counter,
+#: and a truncated fragment whose bracket legitimately stays [0, 1].
+SOLVER_WORKLOADS = {
+    "gambler-120": (
+        "x := 30\nwhile x >= 1 and x <= 119:\n    switch:\n"
+        "        prob(0.5): x := x + 1\n        prob(0.5): x := x - 1\n"
+        "assert x <= 0",
+        20_000,
+        True,
+        True,
+    ),
+    "drift-chain": (
+        "x := 0\nt := 0\nwhile x <= 19:\n    switch:\n"
+        "        prob(0.75): x, t := x + 1, t + 1\n"
+        "        prob(0.25): x, t := x - 1, t + 1\n"
+        "assert t <= 60",
+        20_000,
+        True,
+        False,
+    ),
+    "rdadder-trunc": (
+        "i := 0\nx := 0\nwhile i <= 199:\n    if prob(0.5):\n"
+        "        i, x := i + 1, x + 1\n    else:\n        i := i + 1\n"
+        "assert x <= 110",
+        8_000,
+        True,
+        False,
+    ),
+}
+
+
+def compare_solver(name: str, solver: str, fast, ref, expect_certified: bool) -> list:
+    """Checks of one ``solver`` bracket against the pure-sweep ``ref``."""
+    from repro.core.solvers import SLACK_CAP as tol
+
+    problems = []
+    if not (fast.lower <= fast.upper + 1e-12):
+        problems.append(
+            f"{name}[{solver}]: inverted bracket "
+            f"[{fast.lower!r}, {fast.upper!r}]"
+        )
+    # never escape the sweep bracket outward beyond the slack budget; a
+    # *certified* bracket may legitimately be tighter than the sweep's
+    if fast.lower < ref.lower - tol:
+        problems.append(
+            f"{name}[{solver}]: lower bound escaped outward "
+            f"({fast.lower!r} < sweep {ref.lower!r} - {tol})"
+        )
+    if fast.upper > ref.upper + tol:
+        problems.append(
+            f"{name}[{solver}]: upper bound escaped outward "
+            f"({fast.upper!r} > sweep {ref.upper!r} + {tol})"
+        )
+    # overlap: both brackets contain vpf, so disjointness means a bug
+    if fast.lower > ref.upper + tol or fast.upper < ref.lower - tol:
+        problems.append(
+            f"{name}[{solver}]: bracket [{fast.lower!r}, {fast.upper!r}] "
+            f"disjoint from sweep [{ref.lower!r}, {ref.upper!r}]"
+        )
+    if solver == "auto" and expect_certified:
+        if not fast.certified:
+            problems.append(
+                f"{name}[auto]: expected a fully certified bracket, "
+                f"got certified={fast.certified}"
+            )
+        # the acceptance bar: certified auto brackets are tighter-or-equal
+        if fast.lower < ref.lower - 1e-12 or fast.upper > ref.upper + 1e-12:
+            problems.append(
+                f"{name}[auto]: certified bracket wider than the sweep's "
+                f"([{fast.lower!r}, {fast.upper!r}] vs "
+                f"[{ref.lower!r}, {ref.upper!r}])"
+            )
+    return problems
 
 
 def _emit(pts, model, result, name, source, integer_mode, max_states, explore):
@@ -70,7 +202,7 @@ def check_explorer_grid(failures):
     from repro.lang import compile_source
 
     certs = []
-    for name, (source, max_states, integer_mode, explore) in parity.WORKLOADS.items():
+    for name, (source, max_states, integer_mode, explore) in WORKLOADS.items():
         pts = compile_source(source, name=name, integer_mode=integer_mode).pts
         model = build_sparse_model(pts, max_states=max_states, explore=explore)
         result = iterate_model(model)
@@ -101,11 +233,12 @@ def check_solver_grid(failures):
     from repro.core.runcert import verify_run_certificate
     from repro.lang import compile_source
 
-    for name, (source, max_states, integer_mode, _) in parity.SOLVER_WORKLOADS.items():
+    for name, (source, max_states, integer_mode, expect_cert) in SOLVER_WORKLOADS.items():
         pts = compile_source(source, name=name, integer_mode=integer_mode).pts
         model = build_sparse_model(pts, max_states=max_states)
-        for solver in ("auto", "direct", "sor", "anderson"):
-            result = iterate_model(model, solver=solver)
+        ref = iterate_model(model, solver="sweep")
+        for solver in ("sweep", "auto"):
+            result = ref if solver == "sweep" else iterate_model(model, solver=solver)
             cert = _emit(
                 pts, model, result, name, source, integer_mode, max_states, "auto"
             )
@@ -116,10 +249,15 @@ def check_solver_grid(failures):
                     for line in report.render()
                     if "FAIL" in line
                 )
+            problems = compare_solver(name, solver, result, ref, expect_cert)
+            failures.extend(problems)
+            status = "ok" if report.ok else "REJECTED"
+            if problems:
+                status += " MISMATCH"
             print(
                 f"{name:<16} {solver:<9} used={result.solver:<9} "
                 f"certified={str(result.certified):<5} "
-                f"{'ok' if report.ok else 'REJECTED'}"
+                f"[{result.lower:.12f}, {result.upper:.12f}] {status}"
             )
 
 
@@ -171,8 +309,8 @@ def main() -> int:
             print(f"  - {line}")
         return 1
     print(
-        f"\ncertificate gate ok: {len(parity.WORKLOADS)} explorer workload(s) + "
-        f"{len(parity.SOLVER_WORKLOADS)} solver workload(s) x 4 solvers "
+        f"\ncertificate gate ok: {len(WORKLOADS)} explorer workload(s) + "
+        f"{len(SOLVER_WORKLOADS)} solver workload(s) x 2 solvers "
         "verified; 4 corruption drills rejected"
     )
     return 0
