@@ -13,6 +13,13 @@ This module provides:
   box-shaped invariants all paper benchmarks use);
 * trajectory-based soundness checking (an invariant that fails on sampled
   reachable states is rejected before synthesis).
+
+Interval generation is exact and LP-free: every bound is a ``Fraction``
+computed by interval arithmetic, by bound propagation through guards, or
+(for guards with two or more coupled atoms) from the double-description
+generators of :mod:`repro.polyhedra.dd`.  No float decides a bound, so
+each generated box contains every reachable valuation of its location
+exactly, on fractional lattices too.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.polyhedra.constraints import AffineIneq, Polyhedron
+from repro.polyhedra.dd import polyhedron_generators
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
 
@@ -98,7 +106,7 @@ class InvariantMap:
                 if not self.of(location).contains_float(valuation, tol=1e-6):
                     problems.append(
                         f"invariant at {location!r} violated by reachable state "
-                        f"{ {k: round(x, 4) for k, x in valuation.items()} }"
+                        + ", ".join(f"{k}={x:.4f}" for k, x in valuation.items())
                     )
                     return problems
                 if pts.is_sink(location):
@@ -220,26 +228,90 @@ def _box_to_polyhedron(box: Box, variables) -> Polyhedron:
     return Polyhedron(variables, ineqs)
 
 
-def _tighten_box_by_guard(box: Box, guard: Polyhedron, variables) -> Optional[Box]:
-    """Intersect a box with a guard polyhedron, re-extracting per-variable
-    bounds via LP.  Returns ``None`` when the intersection is empty."""
-    poly = _box_to_polyhedron(box, variables).intersect(guard)
-    if poly.is_empty():
+def _clip(iv: Interval, coeff: Fraction, rhs: Fraction) -> Interval:
+    """``iv ∩ {x : coeff * x <= rhs}`` for ``coeff != 0``."""
+    lo, hi = iv
+    bound = rhs / coeff
+    if coeff > 0:
+        return lo, (bound if hi is None else min(hi, bound))
+    return (bound if lo is None else max(lo, bound)), hi
+
+
+def _min_term(coeff: Fraction, iv: Interval) -> Optional[Fraction]:
+    """``min coeff * x`` over ``x`` in ``iv`` (``None`` = -infinity)."""
+    end = iv[0] if coeff > 0 else iv[1]
+    return None if end is None else coeff * end
+
+
+def _tighten_box_by_guard(box: Box, guard: Polyhedron) -> Optional[Box]:
+    """The exact bounding box of ``box ∩ guard``, or ``None`` when empty.
+
+    A guard can only change the variables it mentions; every other bound
+    passes through.  Single-variable atoms clip the box.  The rest (atoms
+    over two or more variables, "coupled") go to :func:`_project_one_atom`
+    when there is one of them and to :func:`_project_by_generators` when
+    there are more.  All arithmetic is exact.
+    """
+    tightened = dict(box)
+    coupled: List[AffineIneq] = []
+    for ineq in guard.inequalities:
+        names = ineq.variables()
+        if len(names) == 1:
+            (name,) = names
+            tightened[name] = _clip(tightened[name], ineq.expr.coeff(name), -ineq.expr.const)
+        elif names:
+            coupled.append(ineq)
+        else:  # ``c <= 0`` with c > 0: Polyhedron() drops the true constant atoms
+            return None
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in tightened.values()):
         return None
-    tightened: Box = {}
-    slack = Fraction(1, 10**6)  # round LP bounds outward to stay sound
-    for v in variables:
-        lo_status, lo_val = poly.maximize(LinExpr({v: -1}))
-        hi_status, hi_val = poly.maximize(LinExpr({v: 1}))
-        lo = None if lo_status != "optimal" else Fraction(str(round(-lo_val, 9))) - slack
-        hi = None if hi_status != "optimal" else Fraction(str(round(hi_val, 9))) + slack
-        # snap to integers when within slack of one (exact for integer programs)
-        if lo is not None and abs(lo - round(lo)) <= 2 * slack:
-            lo = Fraction(round(lo))
-        if hi is not None and abs(hi - round(hi)) <= 2 * slack:
-            hi = Fraction(round(hi))
-        tightened[v] = (lo, hi)
+    if len(coupled) == 1:
+        return _project_one_atom(tightened, coupled[0].expr)
+    if coupled:
+        return _project_by_generators(tightened, coupled)
     return tightened
+
+
+def _project_one_atom(box: Box, expr: LinExpr) -> Optional[Box]:
+    """Exact bounding box of ``box ∩ {Σ a_j x_j + c <= 0}``.
+
+    One pass of ``a_i x_i <= -c - Σ_{j≠i} min(a_j x_j)`` (minima over the
+    box) is the exact projection: the other coordinates can sit at their
+    minimizing ends independently.  The intersection is empty iff
+    ``Σ_j min(a_j x_j) + c > 0``.  A term unbounded below leaves every
+    *other* variable unconstrained by the atom.
+    """
+    mins = {v: _min_term(a, box[v]) for v, a in expr.iter_coeffs()}
+    unbounded = [v for v, m in mins.items() if m is None]
+    finite = expr.const + sum(m for m in mins.values() if m is not None)
+    if not unbounded and finite > 0:
+        return None
+    result = dict(box)
+    for v, a in expr.iter_coeffs():
+        if not unbounded or unbounded == [v]:
+            # finite - min(a_v x_v) = c + Σ_{j≠v} min(a_j x_j)
+            result[v] = _clip(box[v], a, (mins[v] or 0) - finite)
+    return result
+
+
+def _project_by_generators(box: Box, coupled: List[AffineIneq]) -> Optional[Box]:
+    """Exact bounding box of ``box ∩ coupled`` from its V-representation.
+
+    Only the variables the coupled atoms mention enter the double
+    description; the box is a product, so the others keep their bounds.
+    """
+    names = sorted({v for ineq in coupled for v in ineq.variables()})
+    sub = _box_to_polyhedron(box, names).and_ineqs(coupled)
+    gens = polyhedron_generators(sub)
+    if gens.is_empty:
+        return None
+    result = dict(box)
+    for i, v in enumerate(names):
+        free = any(line[i] != 0 for line in gens.lines)
+        lo = None if free or any(r[i] < 0 for r in gens.rays) else min(p[i] for p in gens.points)
+        hi = None if free or any(r[i] > 0 for r in gens.rays) else max(p[i] for p in gens.points)
+        result[v] = (lo, hi)
+    return result
 
 
 def generate_interval_invariants(
@@ -249,7 +321,8 @@ def generate_interval_invariants(
 
     Computes a sound per-location box over-approximating the reachable
     valuations, starting from the initial state and propagating through
-    guards (box-tightened via LP) and affine updates (interval arithmetic;
+    guards (the exact bounding box of box ∩ guard, see
+    :func:`_tighten_box_by_guard`) and affine updates (interval arithmetic;
     sampling variables contribute their support interval).  After
     ``widen_after`` updates of a location, unstable bounds are widened to
     the next guard threshold (or infinity), guaranteeing termination; a
@@ -274,7 +347,7 @@ def generate_interval_invariants(
         if box is None:
             continue
         for t in pts.transitions_from(loc):
-            entry = _tighten_box_by_guard(box, t.guard, variables)
+            entry = _tighten_box_by_guard(box, t.guard)
             if entry is None:
                 continue
             for fork in t.forks:
@@ -336,7 +409,7 @@ def _narrow(
         }
         for loc, box in boxes.items():
             for t in pts.transitions_from(loc):
-                entry = _tighten_box_by_guard(box, t.guard, variables)
+                entry = _tighten_box_by_guard(box, t.guard)
                 if entry is None:
                     continue
                 for fork in t.forks:

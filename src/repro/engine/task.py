@@ -61,7 +61,11 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: (the dense exact-Gauss-Seidel operator below 2048 states is gone), so
 #: sweep counts and last-ulp brackets of small models changed and v5
 #: artifacts must read as misses.
-CACHE_KEY_VERSION = 6
+#: v7: exact, LP-free interval invariants — generated boxes lost the 1e-6
+#: outward slack and the integer snap (which moved bounds *inward* on
+#: fractional lattices), so v6 bounds synthesized against the old boxes
+#: must read as misses.
+CACHE_KEY_VERSION = 7
 
 
 def _fixpoint_fingerprint() -> str:
@@ -87,11 +91,6 @@ class ProgramSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
     source: str = ""
     integer_mode: bool = True
-    #: "auto" generates interval invariants on resolve; "none" skips them.
-    #: Algorithms that never read invariants (value-iteration brackets —
-    #: the fuzz farm runs thousands of those) opt out: interval-invariant
-    #: generation costs orders of magnitude more than the iteration.
-    invariants: str = "auto"
 
     @staticmethod
     def benchmark(name: str, **params) -> "ProgramSpec":
@@ -102,22 +101,20 @@ class ProgramSpec:
         source: str,
         name: str = "program",
         integer_mode: bool = True,
-        invariants: str = "auto",
     ) -> "ProgramSpec":
         return ProgramSpec(
             kind="source",
             name=name,
             source=source,
             integer_mode=integer_mode,
-            invariants=invariants,
         )
 
     def resolve(self):
         """Compile/instantiate to ``(pts, invariants)``.
 
         Memoized per process (bounded FIFO): the task triple of one table
-        row shares a spec, and compiling a 3-variable walk plus its interval
-        invariants costs seconds — the memo restores the
+        row shares a spec, so the row compiles and generates its interval
+        invariants once — the memo restores the
         one-instance-per-row sharing the pre-engine harness had.  Sharing is
         safe because no synthesis algorithm mutates the PTS or the
         invariant map (polyhedra only memoize their own queries).
@@ -136,33 +133,25 @@ class ProgramSpec:
             result = compile_source(
                 self.source, integer_mode=self.integer_mode, name=self.name
             )
-            if self.invariants == "none":
-                resolved = result.pts, result.invariants
-            else:
-                from repro.core.invariants import generate_interval_invariants
+            from repro.core.invariants import generate_interval_invariants
 
-                invariants = generate_interval_invariants(result.pts)
-                if result.invariants:
-                    invariants = invariants.merged_with(result.invariants)
-                resolved = result.pts, invariants
+            invariants = generate_interval_invariants(result.pts)
+            if result.invariants:
+                invariants = invariants.merged_with(result.invariants)
+            resolved = result.pts, invariants
         while len(_RESOLVE_MEMO) >= _RESOLVE_MEMO_CAP:
             _RESOLVE_MEMO.pop(next(iter(_RESOLVE_MEMO)))
         _RESOLVE_MEMO[self] = resolved
         return resolved
 
     def canonical(self) -> Dict[str, Any]:
-        data = {
+        return {
             "kind": self.kind,
             "name": self.name,
             "params": [[k, repr(v)] for k, v in self.params],
             "source": self.source,
             "integer_mode": self.integer_mode,
         }
-        # only stamped when non-default, so every pre-existing cache key
-        # (and sidecar certificate) stays bit-identical
-        if self.invariants != "auto":
-            data["invariants"] = self.invariants
-        return data
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.core import (
     hoeffding_synthesis,
 )
 from repro.errors import SynthesisError
-from repro.programs import BenchmarkInstance, get_benchmark
+from repro.programs import get_benchmark
 from repro.experiments.reference import TABLE1, PaperRow, ln_to_log10
 
 __all__ = [
@@ -80,12 +80,18 @@ def _deviation_baseline(name: str, params: Dict) -> float:
     return cs13_deviation_bound(60, float(params["deviation"]), 0.1)
 
 
-def _concentration_baseline(instance: BenchmarkInstance, params: Dict) -> float:
-    return cfnh18_best_bound(instance.pts, instance.invariants, float(params["n"]))
+def _concentration_baseline(pts, invariants, params: Dict) -> float:
+    return cfnh18_best_bound(pts, invariants, float(params["n"]))
 
 
-def _stoinv_baseline(instance: BenchmarkInstance, params: Dict) -> float:
-    return azuma_baseline(instance.pts, instance.invariants).log_bound
+def _stoinv_baseline(pts, invariants) -> float:
+    return azuma_baseline(pts, invariants).log_bound
+
+
+#: benchmark name -> family: every paper row of a benchmark shares one, so
+#: a row's family needs no compile.  Benchmarks outside Table 1 (Hardware,
+#: the promoted fuzz finds) are absent and take the StoInv baseline.
+_TABLE1_FAMILY: Dict[str, str] = {row.benchmark: row.family for row in TABLE1.values()}
 
 
 #: (benchmark name, factory kwargs, paper param label)
@@ -156,9 +162,11 @@ def run_row(
             if instance.family == "Deviation":
                 row.baseline_ln = _deviation_baseline(name, kwargs)
             elif instance.family == "Concentration":
-                row.baseline_ln = _concentration_baseline(instance, kwargs)
+                row.baseline_ln = _concentration_baseline(
+                    instance.pts, instance.invariants, kwargs
+                )
             else:
-                row.baseline_ln = _stoinv_baseline(instance, kwargs)
+                row.baseline_ln = _stoinv_baseline(instance.pts, instance.invariants)
         except Exception as exc:
             row.error = (row.error + f" baseline: {exc}").strip()
     return row
@@ -166,19 +174,25 @@ def run_row(
 
 def synthesize_baseline(task, deps=None, engine=None):
     """Engine entry point for ``table1_baseline`` tasks: the applicable
-    previous-work bound for the task's benchmark family."""
+    previous-work bound for the task's benchmark family.
+
+    The PTS and invariants come from ``task.program.resolve()``, the
+    per-process memo the row's synthesis tasks share; the Deviation
+    baseline needs neither.
+    """
     from repro.engine.task import CertificateResult
 
+    name = task.program.name
     kwargs = dict(task.program.params)
+    family = _TABLE1_FAMILY.get(name, "StoInv")
     start = time.perf_counter()
     try:
-        instance = get_benchmark(task.program.name, **kwargs)
-        if instance.family == "Deviation":
-            ln = _deviation_baseline(task.program.name, kwargs)
-        elif instance.family == "Concentration":
-            ln = _concentration_baseline(instance, kwargs)
+        if family == "Deviation":
+            ln = _deviation_baseline(name, kwargs)
+        elif family == "Concentration":
+            ln = _concentration_baseline(*task.program.resolve(), kwargs)
         else:
-            ln = _stoinv_baseline(instance, kwargs)
+            ln = _stoinv_baseline(*task.program.resolve())
     except Exception as exc:
         return CertificateResult.failure(task, exc, seconds=time.perf_counter() - start)
     return CertificateResult(
@@ -186,7 +200,7 @@ def synthesize_baseline(task, deps=None, engine=None):
         status="ok",
         log_bound=float(ln),
         seconds=time.perf_counter() - start,
-        solver_info=f"{instance.family} baseline",
+        solver_info=f"{family} baseline",
     )
 
 
@@ -238,9 +252,8 @@ def _assemble_row(
     with_baseline: bool,
 ) -> Table1Row:
     base = f"t1/{name}/{label}"
-    family = TABLE1[(name, label)].family if (name, label) in TABLE1 else ""
     row = Table1Row(
-        family=family,
+        family=_TABLE1_FAMILY.get(name, ""),
         benchmark=name,
         param_label=label,
         paper=TABLE1.get((name, label)),
@@ -260,7 +273,7 @@ def _assemble_row(
     row.sec52_ln = sec52.log_bound
     row.sec52_seconds = sec52.seconds
     # the engine resolves the benchmark inside the worker; recover the
-    # family from it when the row has no paper reference
+    # family from it when the benchmark has no paper row at all
     if not row.family:
         row.family = get_benchmark(name, **kwargs).family
     if with_baseline:

@@ -529,13 +529,10 @@ def run_farm(
         prog = verdict.program
         from repro.engine.task import AnalysisTask, ProgramSpec
 
-        # invariants="none": value-iteration brackets never read interval
-        # invariants, and generating them costs 100x the iteration itself
         spec = ProgramSpec.from_source(
             prog.source,
             name=prog.name,
             integer_mode=prog.integer_mode,
-            invariants="none",
         )
         for explore, solver, expected in _grid(expect, solvers):
             tasks.append(
