@@ -24,9 +24,6 @@ Commands
                and append the results to ``BENCH_fixpoint.json``
 ``selftest``   one fast task per synthesis family through the analysis
                engine — a pre-push smoke gate (< 60 s)
-``workers``    manage the persistent worker service (``start|stop|status``)
-               that keeps a warm process pool alive *across* CLI
-               invocations; route analyses to it with ``analyze --workers``
 ``cache``      inspect (``stats``, incl. certificate-sidecar coverage) or
                size-bound (``gc``) the on-disk result cache — eviction is
                LRU by mtime under a byte budget, sidecars co-evicted
@@ -382,7 +379,7 @@ assert false
 def _cmd_selftest(args) -> int:
     import time
 
-    from repro.engine import AnalysisEngine, AnalysisTask, ProgramSpec, make_scheduler
+    from repro.engine import AnalysisEngine, AnalysisTask, ProgramSpec
 
     race = ProgramSpec.from_source(_SELFTEST_RACE, name="selftest-race")
     chain = ProgramSpec.from_source(_SELFTEST_CHAIN, name="selftest-chain")
@@ -398,7 +395,7 @@ def _cmd_selftest(args) -> int:
         ),
     ]
     start = time.perf_counter()
-    with AnalysisEngine(scheduler=make_scheduler(args.jobs)) as engine:
+    with AnalysisEngine.with_jobs(args.jobs) as engine:
         results = engine.map(tasks)
     failures = 0
     for task, result in zip(tasks, results):
@@ -416,79 +413,6 @@ def _cmd_selftest(args) -> int:
         f"in {time.perf_counter() - start:.1f}s"
     )
     return 1 if failures else 0
-
-
-def _cmd_workers(args) -> int:
-    from repro.engine.workers import (
-        service_health,
-        start_service,
-        stop_service,
-    )
-
-    if args.action == "start":
-        status = start_service(
-            args.dir,
-            jobs=args.jobs,
-            idle_timeout=args.idle_timeout,
-            foreground=args.foreground,
-        )
-        if status.get("exited"):
-            return 0
-        if status.get("already_running"):
-            print(
-                f"worker service already running: pid={status['pid']} "
-                f"jobs={status['jobs']} (requested flags ignored — "
-                f"`repro workers stop` first to reconfigure)"
-            )
-            return 0
-        if status.get("swept_stale"):
-            print(f"swept stale state left by a crashed service in {args.dir}")
-        print(
-            f"worker service up: pid={status['pid']} jobs={status['jobs']} "
-            f"idle_timeout={status['idle_timeout']:.0f}s dir={args.dir}"
-        )
-        return 0
-    if args.action == "status":
-        health = service_health(args.dir)
-        state = health["state"]
-        if state == "up":
-            age = health.get("heartbeat_age")
-            heartbeat = f" heartbeat={age:.1f}s" if age is not None else ""
-            print(
-                f"worker service: up  pid={health['pid']} jobs={health['jobs']} "
-                f"uptime={health['uptime_seconds']:.0f}s "
-                f"served={health['tasks_served']} inflight={health['inflight']}"
-                f"{heartbeat} rebuilds={health.get('pool_rebuilds', 0)}"
-            )
-            if health.get("last_degradation"):
-                print(f"  last degradation: {health['last_degradation']}")
-            return 0
-        if state == "wedged":
-            age = health.get("heartbeat_age")
-            heartbeat = f"; heartbeat {age:.1f}s old" if age is not None else ""
-            print(
-                f"worker service: WEDGED  pid={health['pid']} is alive but not "
-                f"answering{heartbeat} (dir={args.dir}) — "
-                f"`repro workers stop` will signal it"
-            )
-            if health.get("last_degradation"):
-                print(f"  last degradation: {health['last_degradation']}")
-            return 2
-        if state == "stale":
-            print(
-                f"worker service: down (crashed; stale state in {args.dir} — "
-                f"the next `repro workers start` sweeps it)"
-            )
-            return 1
-        print(f"worker service: down (dir={args.dir})")
-        return 1
-    # stop
-    was_running = stop_service(args.dir)
-    print(
-        f"worker service {'stopped' if was_running else 'was not running'} "
-        f"(dir={args.dir})"
-    )
-    return 0
 
 
 def _fmt_bytes(n: int) -> str:
@@ -573,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     from repro.engine.args import add_engine_args
     from repro.engine.cache import DEFAULT_CACHE_DIR
-    from repro.engine.workers import DEFAULT_IDLE_TIMEOUT, DEFAULT_WORKERS_DIR
 
     add_engine_args(
         p_analyze,
@@ -743,40 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan the family tasks out over N worker processes (0 = per CPU)",
     )
     p_self.set_defaults(fn=_cmd_selftest)
-
-    p_workers = sub.add_parser(
-        "workers",
-        help="manage the persistent worker service (a warm process pool "
-        "shared across CLI invocations)",
-    )
-    p_workers.add_argument("action", choices=["start", "stop", "status"])
-    p_workers.add_argument(
-        "--dir",
-        default=DEFAULT_WORKERS_DIR,
-        metavar="DIR",
-        help=f"service state directory (default: {DEFAULT_WORKERS_DIR})",
-    )
-    p_workers.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the service pool (0 = one per CPU)",
-    )
-    p_workers.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=DEFAULT_IDLE_TIMEOUT,
-        metavar="SECONDS",
-        help="shut the service down after this long without requests "
-        f"(default: {DEFAULT_IDLE_TIMEOUT:.0f}s; 0 = never)",
-    )
-    p_workers.add_argument(
-        "--foreground",
-        action="store_true",
-        help="serve in the foreground instead of daemonizing",
-    )
-    p_workers.set_defaults(fn=_cmd_workers)
 
     p_cache = sub.add_parser(
         "cache", help="inspect or garbage-collect the on-disk result cache"

@@ -524,7 +524,7 @@ def synthesize(task, deps=None, engine=None):
             "worker process died while solving eps-probe LPs; the pool is gone"
         ) from exc
     except TaskError:
-        # same for a probe that timed out or lost its worker-service socket:
+        # same for a probe that timed out or hit an injected fault:
         # infrastructure failures propagate so the engine can retry them
         raise
     except Exception as exc:

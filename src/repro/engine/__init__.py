@@ -34,13 +34,11 @@ from repro.engine.task import (
     state_table_of,
 )
 from repro.engine.scheduler import (
-    PersistentPoolScheduler,
     ProcessPoolScheduler,
     Scheduler,
     SerialScheduler,
     make_scheduler,
     resolve_jobs,
-    shutdown_persistent_pools,
 )
 from repro.engine.cache import ResultCache
 from repro.engine.engine import (
@@ -64,10 +62,8 @@ __all__ = [
     "Scheduler",
     "SerialScheduler",
     "ProcessPoolScheduler",
-    "PersistentPoolScheduler",
     "make_scheduler",
     "resolve_jobs",
-    "shutdown_persistent_pools",
     "ResultCache",
     "ALGORITHMS",
     "AnalysisEngine",

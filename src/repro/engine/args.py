@@ -1,12 +1,10 @@
 """Shared argparse wiring for entry points that own an ``AnalysisEngine``.
 
 ``repro analyze`` and the experiments runner accept the same engine
-surface (``--jobs`` / ``--cache`` / ``--workers`` / ``--task-timeout`` /
-``--retries``); keeping the argument definitions and the engine
-construction here means the two entry points cannot drift — in particular
-the ``--workers``-overrides-``--jobs`` interaction and the
-graceful-degradation chain (service → fresh local pool → serial) live in
-exactly one place.
+surface (``--jobs`` / ``--cache`` / ``--task-timeout`` / ``--retries``);
+keeping the argument definitions and their env fallbacks here means the
+two entry points cannot drift.  The engine itself, with its pool → serial
+degradation chain, is built by :meth:`AnalysisEngine.with_jobs`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ def add_engine_args(parser, jobs_help: str) -> None:
     uniform.
     """
     from repro.engine.cache import DEFAULT_CACHE_DIR
-    from repro.engine.workers import DEFAULT_WORKERS_DIR
 
     parser.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
     parser.add_argument(
@@ -41,16 +38,6 @@ def add_engine_args(parser, jobs_help: str) -> None:
         metavar="DIR",
         help="replay identical tasks from an on-disk result cache "
         f"(default DIR: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--workers",
-        nargs="?",
-        const=DEFAULT_WORKERS_DIR,
-        default=None,
-        metavar="DIR",
-        help="route engine tasks to the persistent worker service in DIR "
-        f"(default: {DEFAULT_WORKERS_DIR}; start it with `repro workers "
-        "start`) instead of forking a fresh pool",
     )
     parser.add_argument(
         "--task-timeout",
@@ -67,8 +54,8 @@ def add_engine_args(parser, jobs_help: str) -> None:
         default=None,
         metavar="N",
         help="re-attempts per task for infrastructure failures (dead "
-        "worker, lost service socket, deadline) before degrading to a "
-        f"fallback backend (default: env {ENV_RETRIES} or 2)",
+        "worker, deadline) before degrading to a fallback backend "
+        f"(default: env {ENV_RETRIES} or 2)",
     )
 
 
@@ -84,30 +71,9 @@ def _env_float(name: str):
 
 
 def engine_from_args(args):
-    """Build the engine an entry point's parsed ``args`` describe.
-
-    Every non-serial backend gets a degradation chain: the worker service
-    falls back to a fresh local pool and then to serial; a local pool
-    falls back to serial.  A run that would previously have died with its
-    backend now finishes (slower) and reports the degradation.
-    """
-    from repro.engine import AnalysisEngine, ResultCache, RetryPolicy, make_scheduler
-    from repro.engine.scheduler import ProcessPoolScheduler, SerialScheduler
-
-    cache = ResultCache(args.cache) if args.cache else None
-    if args.workers is not None and args.jobs != 1:
-        print(
-            "note: --workers routes tasks to the service's pool; --jobs is "
-            "ignored (size the pool with `repro workers start --jobs N`)",
-            file=sys.stderr,
-        )
-    scheduler = make_scheduler(args.jobs, workers_dir=args.workers)
-    if args.workers is not None:
-        fallbacks = [lambda: ProcessPoolScheduler(jobs=0), SerialScheduler]
-    elif isinstance(scheduler, SerialScheduler):
-        fallbacks = []
-    else:
-        fallbacks = [SerialScheduler]
+    """Build the engine an entry point's parsed ``args`` describe: flags
+    first, then the ``REPRO_*`` env fallbacks, then the engine defaults."""
+    from repro.engine import AnalysisEngine, ResultCache, RetryPolicy
 
     task_timeout = args.task_timeout
     if task_timeout is None:
@@ -118,10 +84,9 @@ def engine_from_args(args):
         retries = int(env_retries) if env_retries is not None else None
     retry_policy = RetryPolicy(retries=max(0, retries)) if retries is not None else None
 
-    return AnalysisEngine(
-        scheduler=scheduler,
-        cache=cache,
+    return AnalysisEngine.with_jobs(
+        args.jobs,
+        ResultCache(args.cache) if args.cache else None,
         retry_policy=retry_policy,
         task_timeout=task_timeout,
-        fallbacks=fallbacks,
     )

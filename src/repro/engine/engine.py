@@ -24,8 +24,8 @@ re-implement ad hoc:
   (:class:`RetryPolicy`), a broken process pool is rebuilt in place with
   only the in-flight tasks requeued (capped by ``max_pool_rebuilds``),
   and when a backend cannot be healed the engine degrades down a
-  caller-supplied chain (worker service → fresh local pool → serial),
-  recording everything in a :class:`DegradationReport`.
+  caller-supplied chain (pool → serial), recording everything in a
+  :class:`DegradationReport`.
 
 Failure taxonomy (the load-bearing distinction, pinned by the chaos suite
 in ``tests/test_faults.py`` via :mod:`repro.engine.faults`):
@@ -33,22 +33,20 @@ in ``tests/test_faults.py`` via :mod:`repro.engine.faults`):
 * a task whose algorithm *raises* becomes a ``status="error"`` result —
   synthesis failures are deterministic data, retrying them re-buys the
   same exception, and tables record them per row;
-* a worker *process* dying mid-task (segfault, OOM kill), a worker-service
-  socket loss, or a deadline expiry is an **infrastructure** failure
-  (:class:`~repro.errors.TaskError` / ``BrokenProcessPool`` /
-  :class:`~repro.errors.TaskTimeoutError`): the computation itself is
+* a worker *process* dying mid-task (segfault, OOM kill), a deadline
+  expiry, or an injected transient fault is an **infrastructure** failure
+  (``BrokenProcessPool`` / :class:`~repro.errors.TaskTimeoutError` /
+  :class:`~repro.errors.TaskError`): the computation itself is
   innocent, so the engine retries it — and because tasks are pure
   functions cache-keyed by content hash, a retried run is bit-identical
   to a first-try run.  Only when retries, pool rebuilds and the
   degradation chain are all exhausted does the failure propagate.
 
-In-process synthesizers can themselves emit subtasks via
-:meth:`AnalysisEngine.submit_subtasks` (futures) or
-:meth:`AnalysisEngine.map_subtasks` (deadline-bounded barrier) — that is
-how the Ser ternary search solves the independent eps-probe LPs of one
-bracket step concurrently.  A ``KeyboardInterrupt`` during dispatch
-cancels everything still queued and shuts the pool down before
-propagating.
+In-process synthesizers can themselves emit subtasks as futures via
+:meth:`AnalysisEngine.submit_subtasks` — that is how the Ser ternary
+search solves the independent eps-probe LPs of one bracket step
+concurrently.  A ``KeyboardInterrupt`` during dispatch cancels everything
+still queued and shuts the pool down before propagating.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ import importlib
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -555,9 +552,6 @@ class AnalysisEngine:
                             pool_fault=True,
                         )
                         continue
-                    except TaskError as exc:  # service-side submit failure
-                        recover(task, exc, pool_fault=False)
-                        continue
                     inflight[future] = task
                     submit_seq[future] = seq
                     deadlines[future] = self._deadline_for(task)
@@ -590,7 +584,7 @@ class AnalysisEngine:
                             pool_fault=True,
                         )
                         continue
-                    except TaskError as exc:  # transient: socket loss, injection
+                    except TaskError as exc:  # transient: injected, or a failed subtask
                         recover(task, exc, pool_fault=False)
                         continue
                     settle(task, outcome)
@@ -679,8 +673,7 @@ class AnalysisEngine:
         caller collects each future's result as it needs it, so probe
         rounds share the executor with whatever else is in flight instead
         of barriering it.  Callers should bound their waits with
-        :meth:`subtask_timeout` (see ``repro.core.hoeffding``); the
-        barrier convenience :meth:`map_subtasks` already does."""
+        :meth:`subtask_timeout` (see ``repro.core.hoeffding``)."""
         tasks = list(tasks)
         return [
             self.scheduler.submit(
@@ -692,23 +685,6 @@ class AnalysisEngine:
     def subtask_timeout(self, task: AnalysisTask) -> Optional[float]:
         """The wall-clock budget a caller should allow a subtask future."""
         return self._effective_timeout(task)
-
-    def map_subtasks(self, tasks: Sequence[AnalysisTask]) -> List[CertificateResult]:
-        """Barrier convenience over :meth:`submit_subtasks`, with every
-        wait bounded by the subtask's deadline."""
-        tasks = list(tasks)
-        out = []
-        for task, future in zip(tasks, self.submit_subtasks(tasks)):
-            limit = self._effective_timeout(task)
-            try:
-                out.append(future.result(timeout=limit))
-            except FuturesTimeout as exc:
-                future.cancel()
-                raise TaskTimeoutError(
-                    f"subtask {task.task_id!r} ({task.algorithm}) exceeded its "
-                    f"{limit:g}s deadline"
-                ) from exc
-        return out
 
     @property
     def parallel(self) -> bool:

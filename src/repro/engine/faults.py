@@ -5,9 +5,8 @@ degradation chain — see ``docs/ARCHITECTURE.md`` "Failure semantics") is
 only trustworthy if every failure mode it promises to absorb is *provoked*
 in tests, not hoped about.  This module is the provocation harness: a
 seeded :class:`FaultPlan` — a list of :class:`FaultRule`\\ s — injected via
-the ``REPRO_FAULTS`` environment variable, which forked pool workers and
-the daemonized worker service inherit, so one plan drives faults across
-every process of a run.
+the ``REPRO_FAULTS`` environment variable, which forked pool workers
+inherit, so one plan drives faults across every process of a run.
 
 Injection sites (``FaultRule.site``):
 
@@ -16,18 +15,13 @@ Injection sites (``FaultRule.site``):
 ``task.transient``
     raise :class:`InjectedFault` (an infrastructure-class
     :class:`~repro.errors.TaskError`) at the task boundary — the shape of
-    a dropped connection or a transient runtime error.
+    a transient runtime error.
 ``worker.kill``
     ``os._exit(137)`` at the task boundary — the shape of a SIGKILL/OOM
     kill.  Fires **only inside multiprocessing child processes** (pool
     workers), never in the process that owns the plan, so a plan can
     never take down the test runner or the user's shell; in a serial run
     the site simply never fires.
-``service.drop_reply``
-    the worker-service daemon computes the result, then closes the
-    connection without replying (checked by
-    :class:`~repro.engine.workers.WorkerService`, which counts attempts
-    per task key on its side of the wire).
 
 Determinism is the whole design: a rule fires iff its ``match`` substring
 occurs in the fault key (a ``task_id``; ``"*"`` matches everything) and
@@ -77,7 +71,6 @@ FAULT_SITES = (
     "task.latency",
     "task.transient",
     "worker.kill",
-    "service.drop_reply",
 )
 
 
@@ -85,8 +78,8 @@ class InjectedFault(TaskError):
     """A transient infrastructure failure injected by a :class:`FaultPlan`.
 
     Subclasses :class:`~repro.errors.TaskError` deliberately: the retry
-    layer must classify it exactly like a real dropped socket or dead
-    worker, or the harness would be testing a code path production never
+    layer must classify it exactly like a real dead worker or expired
+    deadline, or the harness would be testing a code path production never
     takes."""
 
 
@@ -215,7 +208,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 def _in_worker_process() -> bool:
     # a multiprocessing child (pool worker) — the only place worker.kill
-    # may fire; the plan's owner and the service daemon itself are safe
+    # may fire; the plan's owner is safe
     return multiprocessing.parent_process() is not None
 
 

@@ -1,26 +1,21 @@
-"""Pluggable execution backends for the analysis engine.
+"""Execution backends for the analysis engine.
 
 A scheduler is anything with ``submit(fn, item) -> Future`` (the engine's
-completion-driven dispatch), an order-preserving ``map(fn, items)`` for
-barrier-style subtask rounds, and ``close()``.  Three implementations ship:
+completion-driven dispatch), ``rebuild()`` and ``close()``.  Two
+implementations ship:
 
 * :class:`SerialScheduler` — in-process, zero overhead, the reference
   behavior every parallel backend must reproduce bit-for-bit;
 * :class:`ProcessPoolScheduler` — a lazily created process pool owned by
   one engine run, capped at ``jobs`` but forking workers on demand (so
   ``--jobs 0`` on a 3-row table forks 3 workers, not one per CPU, while a
-  later wide burst still reaches full parallelism);
-* :class:`PersistentPoolScheduler` — the same executor kept warm in a
-  process-global registry, so back-to-back engine runs inside one process
-  skip pool startup.  ``close()`` deliberately leaves the pool alive;
-  :func:`shutdown_persistent_pools` (registered ``atexit``) tears it down.
+  later wide burst still reaches full parallelism).
 
 ``jobs`` semantics live in exactly one place, :func:`resolve_jobs`:
-``0`` means one worker per CPU and negative values are rejected — every
-pool-backed scheduler resolves through it.
+``0`` means one worker per CPU and negative values are rejected.
 
-Both pool schedulers run on :class:`concurrent.futures.ProcessPoolExecutor`
-rather than ``multiprocessing.Pool``: when a worker process dies mid-task
+The pool runs on :class:`concurrent.futures.ProcessPoolExecutor` rather
+than ``multiprocessing.Pool``: when a worker process dies mid-task
 (segfault, OOM kill, ``os._exit``) the executor breaks loudly with
 ``BrokenProcessPool`` instead of hanging the caller, and the engine turns
 that into a :class:`~repro.errors.TaskError`.
@@ -32,21 +27,18 @@ only wall-clock time.  ``tests/test_engine.py`` pins this down.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, List, Optional, Protocol, TypeVar, runtime_checkable
 
 __all__ = [
     "Scheduler",
     "SerialScheduler",
     "ProcessPoolScheduler",
-    "PersistentPoolScheduler",
     "make_scheduler",
     "resolve_jobs",
-    "shutdown_persistent_pools",
 ]
 
 T = TypeVar("T")
@@ -56,9 +48,6 @@ R = TypeVar("R")
 def resolve_jobs(jobs: int) -> int:
     """The single home of ``--jobs`` clamping: ``0`` resolves to one worker
     per CPU, positive values pass through, negative values are rejected.
-
-    Every scheduler (and the worker service) normalizes through this
-    function, so the CLI contract cannot drift between backends.
     """
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
@@ -74,9 +63,9 @@ class Scheduler(Protocol):
     ``crash_domain`` is ``"pool"`` when one dying worker poisons every
     in-flight future (shared-fate process pools — the engine then rebuilds
     and requeues everything) or ``"isolated"`` when failures are per-task
-    (serial, the worker service); ``rebuild()`` discards broken execution
-    state so the next ``submit`` starts healthy, raising
-    :class:`~repro.errors.TaskError` when the backend cannot be healed.
+    (serial); ``rebuild()`` discards broken execution state so the next
+    ``submit`` starts healthy, raising :class:`~repro.errors.TaskError`
+    when the backend cannot be healed.
     """
 
     workers: int
@@ -84,8 +73,6 @@ class Scheduler(Protocol):
     crash_domain: str
 
     def submit(self, fn: Callable[[T], R], item: T, width_hint: int = 1) -> "Future[R]": ...
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]: ...
 
     def rebuild(self) -> None: ...
 
@@ -117,9 +104,6 @@ class SerialScheduler:
     def submit(self, fn, item, width_hint: int = 1) -> Future:
         return _completed_future(fn, item)
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
     def rebuild(self) -> None:
         pass  # no execution state to heal
 
@@ -136,10 +120,18 @@ class SerialScheduler:
         return "SerialScheduler()"
 
 
-class _PoolSchedulerBase:
-    """Shared machinery of the process-backed schedulers: jobs resolution,
-    demand-clamped lazy executor creation, futures-based submit and an
-    order-preserving map.  Subclasses own executor acquisition/release."""
+class ProcessPoolScheduler:
+    """A per-run process pool, torn down by ``close()``.
+
+    The executor is created lazily, sized ``min(jobs, observed demand)`` —
+    under fork (Linux) ``ProcessPoolExecutor`` forks its full width
+    eagerly, so sizing to ``jobs`` outright would fork idle processes for
+    small task sets (ROADMAP: the 3-row tables).  When wider demand
+    arrives, the pool regrows by *handover*: the old executor keeps
+    draining its in-flight futures in the background while a wider one
+    takes new submissions, so regrowth never blocks the dispatch loop
+    behind a running task.
+    """
 
     kind = "pool"
     #: one dead worker breaks the whole executor: every in-flight future of
@@ -149,6 +141,9 @@ class _PoolSchedulerBase:
 
     def __init__(self, jobs: int = 0):
         self.jobs = resolve_jobs(jobs)
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._pool_width = 0
+        self._draining: List[ProcessPoolExecutor] = []
         #: futures submitted but not yet done — the width-1 inline degrade
         #: needs it (updated under _count_lock by done callbacks)
         self._outstanding = 0
@@ -164,17 +159,10 @@ class _PoolSchedulerBase:
 
         Under the fork start method (Linux) the executor forks its full
         ``max_workers`` eagerly — dynamic spawning is disabled for fork —
-        which is why pools are still sized ``min(jobs, observed demand)``
+        which is why the pool is still sized ``min(jobs, observed demand)``
         rather than ``jobs`` outright."""
-        executor = self._live_executor()
+        executor = self._executor
         return len(getattr(executor, "_processes", None) or ()) if executor else 0
-
-    # -- executor lifecycle (subclass responsibility) ---------------------------
-    def _acquire(self, width: int) -> ProcessPoolExecutor:
-        raise NotImplementedError
-
-    def _live_executor(self) -> Optional[ProcessPoolExecutor]:
-        raise NotImplementedError
 
     @staticmethod
     def _inline_only() -> bool:
@@ -184,77 +172,6 @@ class _PoolSchedulerBase:
     def _on_done(self, _future) -> None:
         with self._count_lock:
             self._outstanding -= 1
-
-    # -- scheduling -------------------------------------------------------------
-    def submit(self, fn, item, width_hint: int = 1) -> Future:
-        if self._inline_only():
-            return _completed_future(fn, item)
-        if width_hint <= 1 and self._live_executor() is None:
-            with self._count_lock:
-                idle = self._outstanding == 0
-            if idle:
-                # a lone ready task with no pool yet: forking one buys zero
-                # parallelism (the old map() width-1 degrade, preserved for
-                # single-task runs and purely linear chains)
-                return _completed_future(fn, item)
-        executor = self._acquire(max(1, width_hint))
-        with self._count_lock:
-            self._outstanding += 1
-        future = executor.submit(fn, item)
-        future.add_done_callback(self._on_done)
-        return future
-
-    def map(self, fn, items):
-        items = list(items)
-        if not items:
-            return []
-        if len(items) == 1 or self._inline_only():
-            # nothing to fan out / already inside a worker: stay in-process
-            return [fn(item) for item in items]
-        return [f.result() for f in [self.submit(fn, item, len(items)) for item in items]]
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def terminate(self) -> None:
-        """Forceful teardown (interrupt paths): do not wait for running
-        tasks.  Default falls back to the graceful close."""
-        self.close()
-
-    def rebuild(self) -> None:
-        """Self-healing hook: kill whatever executor state exists (broken
-        pools cannot be reused; hung workers must be reclaimed) and let the
-        next ``submit`` lazily fork a fresh pool."""
-        self.terminate()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class ProcessPoolScheduler(_PoolSchedulerBase):
-    """A per-run process pool, torn down by ``close()``.
-
-    The executor is created lazily, sized ``min(jobs, observed demand)`` —
-    under fork (Linux) ``ProcessPoolExecutor`` forks its full width
-    eagerly, so sizing to ``jobs`` outright would fork idle processes for
-    small task sets (ROADMAP: the 3-row tables).  When wider demand
-    arrives, the pool regrows by *handover*: the old executor keeps
-    draining its in-flight futures in the background while a wider one
-    takes new submissions, so regrowth never blocks the dispatch loop
-    behind a running task.
-    """
-
-    def __init__(self, jobs: int = 0):
-        super().__init__(jobs)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._pool_width = 0
-        self._draining: List[ProcessPoolExecutor] = []
-
-    def _live_executor(self) -> Optional[ProcessPoolExecutor]:
-        return self._executor
 
     def _acquire(self, width: int) -> ProcessPoolExecutor:
         want = max(1, min(self.jobs, width))
@@ -270,6 +187,23 @@ class ProcessPoolScheduler(_PoolSchedulerBase):
             self._pool_width = want
         return self._executor
 
+    def submit(self, fn, item, width_hint: int = 1) -> Future:
+        if self._inline_only():
+            return _completed_future(fn, item)
+        if width_hint <= 1 and self._executor is None:
+            with self._count_lock:
+                idle = self._outstanding == 0
+            if idle:
+                # a lone ready task with no pool yet: forking one buys zero
+                # parallelism (single-task runs and purely linear chains)
+                return _completed_future(fn, item)
+        executor = self._acquire(max(1, width_hint))
+        with self._count_lock:
+            self._outstanding += 1
+        future = executor.submit(fn, item)
+        future.add_done_callback(self._on_done)
+        return future
+
     def close(self) -> None:
         for executor in self._draining:
             executor.shutdown(wait=True)
@@ -280,8 +214,9 @@ class ProcessPoolScheduler(_PoolSchedulerBase):
             self._pool_width = 0
 
     def terminate(self) -> None:
-        # kill the workers outright: close() would join running tasks,
-        # making Ctrl-C appear to hang for however long a solve takes
+        """Forceful teardown (interrupt paths): kill the workers outright,
+        because ``close()`` would join running tasks, making Ctrl-C appear
+        to hang for however long a solve takes."""
         for executor in self._draining + ([self._executor] if self._executor else []):
             for process in list(getattr(executor, "_processes", {}).values()):
                 process.terminate()
@@ -290,86 +225,25 @@ class ProcessPoolScheduler(_PoolSchedulerBase):
         self._executor = None
         self._pool_width = 0
 
+    def rebuild(self) -> None:
+        """Self-healing hook: kill whatever executor state exists (broken
+        pools cannot be reused; hung workers must be reclaimed) and let the
+        next ``submit`` lazily fork a fresh pool."""
+        self.terminate()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def __repr__(self) -> str:
         return f"ProcessPoolScheduler(jobs={self.jobs})"
 
 
-#: resolved worker count -> warm executor shared by PersistentPoolScheduler
-#: instances (and therefore by successive engine runs in this process)
-_PERSISTENT_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
-
-
-class PersistentPoolScheduler(_PoolSchedulerBase):
-    """A warm pool that outlives the engine run.
-
-    Executors live in a process-global registry keyed by worker count, so
-    back-to-back runs (``repro analyze`` in a long-lived process, a loop of
-    table sweeps) reuse the same workers instead of re-forking.  Because the
-    pool is meant to serve *future* runs too, it is sized to ``jobs``
-    outright rather than clamped to the first batch.  ``close()`` is a
-    no-op by design; call :func:`shutdown_persistent_pools` to reclaim the
-    processes (also registered ``atexit``).
-    """
-
-    kind = "persistent-pool"
-
-    def _live_executor(self) -> Optional[ProcessPoolExecutor]:
-        return _PERSISTENT_EXECUTORS.get(self.jobs)
-
-    def _acquire(self, width: int) -> ProcessPoolExecutor:
-        executor = _PERSISTENT_EXECUTORS.get(self.jobs)
-        # a worker crash breaks an executor permanently; replace it so the
-        # next run heals instead of failing forever (_broken is stable
-        # CPython plumbing; assume healthy if it ever goes away)
-        if executor is not None and getattr(executor, "_broken", False):
-            executor.shutdown(wait=False, cancel_futures=True)
-            executor = None
-        if executor is None:
-            executor = ProcessPoolExecutor(max_workers=self.jobs)
-            _PERSISTENT_EXECUTORS[self.jobs] = executor
-        return executor
-
-    def close(self) -> None:  # keep the pool warm for the next run
-        pass
-
-    def terminate(self) -> None:
-        # an interrupt forfeits the warm pool: kill it and let the next
-        # run build a fresh one
-        executor = _PERSISTENT_EXECUTORS.pop(self.jobs, None)
-        if executor is not None:
-            for process in list(getattr(executor, "_processes", {}).values()):
-                process.terminate()
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def __repr__(self) -> str:
-        return f"PersistentPoolScheduler(jobs={self.jobs})"
-
-
-def shutdown_persistent_pools(wait: bool = True) -> int:
-    """Tear down every warm executor; returns how many were shut down."""
-    count = 0
-    while _PERSISTENT_EXECUTORS:
-        _, executor = _PERSISTENT_EXECUTORS.popitem()
-        executor.shutdown(wait=wait, cancel_futures=True)
-        count += 1
-    return count
-
-
-atexit.register(shutdown_persistent_pools, wait=False)
-
-
-def make_scheduler(jobs: int = 1, persistent: bool = False, workers_dir=None):
+def make_scheduler(jobs: int = 1):
     """``jobs == 1`` or negative: serial; ``jobs == 0``: a per-CPU pool;
-    ``jobs > 1``: a pool of that size.  ``persistent=True`` selects the
-    warm shared pool; ``workers_dir`` routes tasks to the daemonized
-    worker service listening there (see :mod:`repro.engine.workers`).
-    """
-    if workers_dir is not None:
-        from repro.engine.workers import ServiceScheduler
-
-        return ServiceScheduler(workers_dir)
+    ``jobs > 1``: a pool of that size."""
     if jobs == 1 or jobs < 0:
         return SerialScheduler()
-    if persistent:
-        return PersistentPoolScheduler(jobs=jobs)
     return ProcessPoolScheduler(jobs=jobs)

@@ -63,9 +63,9 @@ class EngineError(ReproError):
 
 class TaskError(EngineError):
     """A task could not be executed for infrastructure reasons — a worker
-    process died mid-task, or the worker service vanished.  Distinct from a
-    synthesis failure, which is recorded as a ``status="error"`` result.
-    Infrastructure failures are retryable (see
+    process died mid-task, or an injected transient fault fired.  Distinct
+    from a synthesis failure, which is recorded as a ``status="error"``
+    result.  Infrastructure failures are retryable (see
     :class:`~repro.engine.engine.RetryPolicy`); synthesis failures are
     deterministic and fail fast."""
 

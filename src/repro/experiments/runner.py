@@ -13,10 +13,8 @@ tasks of *every* target — Table 1 triples, Table 2 rows, the symbolic
 appendix — out over a process pool (``0`` = one worker per CPU, clamped to
 the number of runnable tasks); dispatch is completion-driven, so a slow
 Hoeffding task delays only its own row's downstream tasks, never the
-whole table.  ``--workers [DIR]`` routes tasks to the persistent worker
-service (``repro workers start``) so back-to-back invocations skip pool
-startup; ``--cache [DIR]`` replays identical tasks from an on-disk result
-cache across targets and runs.  Results print next to the paper-reported
+whole table.  ``--cache [DIR]`` replays identical tasks from an on-disk
+result cache across targets and runs.  Results print next to the paper-reported
 numbers; absolute agreement is not expected (our substrate is a
 from-scratch Python stack), but orderings and magnitudes should match —
 see ``EXPERIMENTS.md``.

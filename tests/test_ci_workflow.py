@@ -112,7 +112,7 @@ class TestCIWorkflow:
         job = data["jobs"]["chaos"]
         text = _steps_text(job)
         assert "pytest -m chaos" in text
-        # a wedged daemon must fail the job, not stall CI forever
+        # a hung pool must fail the job, not stall CI forever
         assert isinstance(job.get("timeout-minutes"), int)
         # blocking by construction: no continue-on-error anywhere in the job
         assert not job.get("continue-on-error")

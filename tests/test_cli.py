@@ -130,6 +130,56 @@ class TestAnalyzeEngineFlags:
         assert first.splitlines()[0] == second.splitlines()[0]  # same bound
 
 
+class TestSharedEngineArgs:
+    """The engine options ``analyze`` and the runner share: flags, then the
+    ``REPRO_*`` env fallbacks, then the engine defaults."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+
+    @staticmethod
+    def engine(*flags):
+        from repro.cli import build_parser
+        from repro.engine.args import engine_from_args
+
+        return engine_from_args(build_parser().parse_args(["analyze", "p.prob", *flags]))
+
+    def test_jobs_one_is_serial_without_fallbacks(self):
+        from repro.engine import SerialScheduler
+
+        engine = self.engine("--jobs", "1")
+        assert isinstance(engine.scheduler, SerialScheduler)
+        assert engine._fallbacks == []
+
+    def test_jobs_two_is_a_pool_falling_back_to_serial(self):
+        from repro.engine import ProcessPoolScheduler, SerialScheduler
+
+        with self.engine("--jobs", "2") as engine:
+            assert isinstance(engine.scheduler, ProcessPoolScheduler)
+            assert engine.scheduler.jobs == 2
+            assert engine._fallbacks == [SerialScheduler]
+
+    def test_task_timeout_from_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "5")
+        assert self.engine().task_timeout == 5.0
+
+    def test_task_timeout_zero_disables_deadlines_despite_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "5")
+        assert self.engine("--task-timeout", "0").task_timeout is None
+
+    def test_non_numeric_env_retries_keeps_default_policy(self, monkeypatch, capsys):
+        from repro.engine import RetryPolicy
+
+        monkeypatch.setenv("REPRO_RETRIES", "abc")
+        assert self.engine().retry_policy == RetryPolicy()
+        assert "note: ignoring non-numeric" in capsys.readouterr().err
+
+    def test_negative_retries_clamp_to_zero(self):
+        assert self.engine("--retries", "-1").retry_policy.retries == 0
+
+
 @pytest.mark.smoke
 class TestSelftest:
     def test_all_families_pass(self, capsys):
@@ -138,3 +188,15 @@ class TestSelftest:
         for family in ("hoeffding", "explinsyn", "explowsyn", "polynomial_lower"):
             assert family in out
         assert "4/4 families ok" in out
+
+
+@pytest.mark.chaos
+def test_selftest_finishes_serially_when_the_pool_keeps_dying(capsys):
+    # every pool attempt is killed: the run must walk pool -> serial and
+    # still pass, like analyze, runner and fuzz do
+    from repro.engine import FaultPlan, FaultRule
+
+    plan = FaultPlan([FaultRule("worker.kill", match="selftest/", times=99)])
+    with plan.installed():
+        assert main(["selftest", "--jobs", "2"]) == 0
+    assert "4/4 families ok" in capsys.readouterr().out

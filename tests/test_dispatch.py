@@ -1,4 +1,4 @@
-"""Completion-driven dispatch, pool lifecycle and the worker service.
+"""Completion-driven dispatch and pool lifecycle.
 
 The load-bearing properties, in order of importance:
 
@@ -10,9 +10,6 @@ The load-bearing properties, in order of importance:
   :class:`TaskError` instead of hanging the ready-set;
 * **interrupt hygiene** — a ``KeyboardInterrupt`` during dispatch cancels
   queued work and shuts the pool down;
-* **warm pools** — ``PersistentPoolScheduler.close()`` keeps the executor
-  alive for the next engine run; the daemonized worker service does the
-  same across processes;
 * **one clamp** — ``jobs`` semantics (``0`` = per CPU, negatives rejected)
   live only in :func:`repro.engine.scheduler.resolve_jobs`.
 
@@ -30,12 +27,10 @@ from repro.errors import TaskError
 from repro.engine import (
     AnalysisEngine,
     AnalysisTask,
-    PersistentPoolScheduler,
     ProcessPoolScheduler,
     ProgramSpec,
     SerialScheduler,
     resolve_jobs,
-    shutdown_persistent_pools,
 )
 from repro.engine.task import CertificateResult
 
@@ -217,105 +212,7 @@ class TestJobsClampSingleSource:
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(-1)
 
-    def test_every_pool_backend_uses_it(self, tmp_path):
-        from repro.engine.workers import WorkerService
-
-        expected = resolve_jobs(0)
-        pool = ProcessPoolScheduler(jobs=0)
-        persistent = PersistentPoolScheduler(jobs=0)
-        service = WorkerService(tmp_path / "svc", jobs=0)
-        assert pool.jobs == persistent.jobs == service.jobs == expected
+    def test_every_pool_backend_uses_it(self):
+        assert ProcessPoolScheduler(jobs=0).jobs == resolve_jobs(0)
         with pytest.raises(ValueError):
             ProcessPoolScheduler(jobs=-2)
-        with pytest.raises(ValueError):
-            PersistentPoolScheduler(jobs=-2)
-        with pytest.raises(ValueError):
-            WorkerService(tmp_path / "svc2", jobs=-2)
-
-
-class TestPersistentPool:
-    def test_close_keeps_the_pool_warm(self):
-        from repro.engine.scheduler import _PERSISTENT_EXECUTORS
-
-        shutdown_persistent_pools()
-        first = PersistentPoolScheduler(jobs=2)
-        assert first.map(_double, [1, 2, 3]) == [2, 4, 6]
-        executor = _PERSISTENT_EXECUTORS[2]
-        first.close()  # deliberate no-op
-        second = PersistentPoolScheduler(jobs=2)
-        assert second.submit(_double, 21).result() == 42
-        assert _PERSISTENT_EXECUTORS[2] is executor  # same warm pool
-        assert shutdown_persistent_pools() == 1
-        assert not _PERSISTENT_EXECUTORS
-
-    def test_engine_runs_reuse_the_pool(self, scratch_algorithms):
-        from repro.engine.scheduler import _PERSISTENT_EXECUTORS
-
-        shutdown_persistent_pools()
-        try:
-            with AnalysisEngine(PersistentPoolScheduler(jobs=2)) as engine:
-                engine.run([_sleep_task("r1", 0.0), _sleep_task("r2", 0.0)])
-            executor = _PERSISTENT_EXECUTORS.get(2)
-            assert executor is not None  # survived engine close()
-            with AnalysisEngine(PersistentPoolScheduler(jobs=2)) as engine:
-                engine.run([_sleep_task("r3", 0.0)])
-            assert _PERSISTENT_EXECUTORS.get(2) is executor
-        finally:
-            shutdown_persistent_pools()
-
-
-class TestWorkerService:
-    CHAIN = (
-        "const p = 0.01\n"
-        "i := 0\n"
-        "while i <= 9:\n"
-        "    if prob(1 - p):\n"
-        "        i := i + 1\n"
-        "    else:\n"
-        "        exit\n"
-        "assert false\n"
-    )
-
-    def test_round_trip_and_stop(self, tmp_path):
-        from repro.engine.workers import (
-            ServiceScheduler,
-            service_status,
-            start_service,
-            stop_service,
-        )
-
-        directory = tmp_path / "svc"
-        spec = ProgramSpec.from_source(self.CHAIN, name="svc-chain")
-        task = AnalysisTask.make("explowsyn", spec, task_id="svc/explowsyn")
-        serial = AnalysisEngine(SerialScheduler()).run_inline(task)
-        try:
-            status = start_service(directory, jobs=1, idle_timeout=120)
-            assert status["jobs"] == 1
-            assert service_status(directory)["pid"] == status["pid"]
-            remote = AnalysisEngine(ServiceScheduler(directory)).run([task])
-            result = remote[task.task_id]
-            assert result.ok
-            assert result.log_bound == serial.log_bound  # bit-identical
-        finally:
-            stop_service(directory)
-        assert service_status(directory) is None
-
-    def test_scheduler_requires_running_service(self, tmp_path):
-        from repro.engine.workers import ServiceScheduler
-
-        with pytest.raises(TaskError, match="repro workers start"):
-            ServiceScheduler(tmp_path / "nowhere")
-
-    def test_idle_timeout_reaps_the_daemon(self, tmp_path):
-        from repro.engine.workers import service_status, start_service, stop_service
-
-        directory = tmp_path / "svc-idle"
-        try:
-            start_service(directory, jobs=1, idle_timeout=0.6)
-            deadline = time.monotonic() + 10.0
-            while service_status(directory) is not None:
-                if time.monotonic() > deadline:
-                    pytest.fail("idle service did not shut itself down")
-                time.sleep(0.2)
-        finally:
-            stop_service(directory)  # harmless if already gone

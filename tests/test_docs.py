@@ -5,6 +5,7 @@ running it here too keeps tier-1 self-contained — a PR cannot merge a
 dangling cross-reference even if it skips the docs job.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,11 @@ def test_doc_suite_is_present():
         assert required in names
 
 
+#: ``repro <command>`` as the docs spell an invocation (``python -m repro
+#: analyze``, ``$ repro cache gc``)
+_REPRO_COMMAND = re.compile(r"(?<![\w./-])repro ([a-z][\w-]*)")
+
+
 def test_cli_doc_covers_every_subcommand():
     from repro.cli import build_parser
 
@@ -56,6 +62,23 @@ def test_cli_doc_covers_every_subcommand():
     }
     missing = commands - headings
     assert not missing, f"docs/CLI.md lacks a section for: {sorted(missing)}"
+
+    # ...and the other direction: no doc advertises a command that is gone
+    docs = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / "EXPERIMENTS.md",
+        REPO_ROOT / "PERFORMANCE.md",
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+    ]
+    unknown = sorted(
+        f"{path.relative_to(REPO_ROOT)}: repro {name}"
+        for path in docs
+        if path.is_file()
+        for name in set(_REPRO_COMMAND.findall(path.read_text()))
+        if name not in commands
+    )
+    assert not unknown, "docs name commands the CLI lacks:\n" + "\n".join(unknown)
 
 
 def test_quickstart_extraction_yields_runnable_commands():

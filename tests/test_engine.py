@@ -170,7 +170,8 @@ class TestWorkerClamping:
     def test_pool_never_wider_than_batch(self):
         scheduler = ProcessPoolScheduler(jobs=5)
         try:
-            assert scheduler.map(abs, [-1, 2]) == [1, 2]
+            futures = [scheduler.submit(abs, item, width_hint=2) for item in (-1, 2)]
+            assert [f.result() for f in futures] == [1, 2]
             # workers fork on demand: a 2-task batch can never have forked
             # more than 2 processes, however generous --jobs is
             assert 1 <= scheduler.resolved_workers <= 2
@@ -187,7 +188,7 @@ class TestWorkerClamping:
     def test_single_item_runs_in_process(self):
         scheduler = ProcessPoolScheduler(jobs=4)
         try:
-            assert scheduler.map(abs, [-7]) == [7]
+            assert scheduler.submit(abs, -7, width_hint=1).result() == 7
             assert scheduler.resolved_workers == 0  # no pool was forked
         finally:
             scheduler.close()

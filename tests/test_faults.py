@@ -6,8 +6,7 @@ Two tiers live here:
   (parsing, matching, the worker-kill safety gate) — these run everywhere;
 * ``@pytest.mark.chaos`` tests that *provoke* every failure mode the
   engine promises to absorb — worker kills, transient faults, deadlines,
-  pool-rebuild exhaustion, a SIGKILLed worker-service daemon, dropped
-  service replies — and assert the two load-bearing properties of
+  pool-rebuild exhaustion — and assert the two load-bearing properties of
   ``docs/ARCHITECTURE.md`` "Failure semantics":
 
   1. **no unbounded waits**: every provoked failure surfaces or recovers
@@ -26,8 +25,6 @@ deterministically the one charged with the attempt.
 """
 
 import os
-import signal
-import subprocess
 import time
 from dataclasses import asdict
 
@@ -399,184 +396,3 @@ class TestRetryDeterminism:
                 engine.close()
         assert retried == baseline
         assert engine.degradation.count("retry") >= 1
-
-
-# -- chaos: the worker-service daemon ---------------------------------------------
-
-CHAIN_SOURCE = """\
-const p = 0.01
-i := 0
-while i <= 9:
-    if prob(1 - p):
-        i := i + 1
-    else:
-        exit
-assert false
-"""
-
-
-@pytest.mark.chaos
-class TestServiceChaos:
-    def test_daemon_killed_mid_task_fails_fast_and_next_start_sweeps(self, tmp_path):
-        # the regression this PR exists for: a client blocked in recv() on
-        # a SIGKILLed daemon used to hang forever; liveness polling must
-        # turn it into a TaskError within a few poll ticks
-        from repro.engine.workers import ServiceScheduler, start_service, stop_service
-
-        directory = tmp_path / "svc-kill"
-        try:
-            status = start_service(directory, jobs=1, idle_timeout=120)
-            sched = ServiceScheduler(directory)
-            future = sched.submit(time.sleep, 30)
-            time.sleep(0.5)  # let the daemon accept and start the task
-            os.kill(status["pid"], signal.SIGKILL)
-            start = time.monotonic()
-            # in this test the daemon is our direct child, so until it is
-            # reaped it lingers as a zombie and reads as "wedged" (stale
-            # heartbeat, ~3 s); a reparented daemon reads as "died" within
-            # one poll tick — both end the wait, which is the contract
-            with pytest.raises(TaskError, match="mid-task|wedged"):
-                future.result(timeout=30)
-            assert time.monotonic() - start < 8.0
-            try:  # reap the zombie so the restart sees a truly dead pid
-                os.waitpid(status["pid"], 0)
-            except ChildProcessError:
-                pass
-            # the crash left socket/pid files behind; a fresh start reaps
-            # them instead of refusing to bind
-            status = start_service(directory, jobs=1, idle_timeout=120)
-            assert status.get("swept_stale") is True
-            assert not status.get("already_running")
-        finally:
-            stop_service(directory)
-
-    def test_restart_after_crash_with_orphaned_workers_is_bounded(self, tmp_path):
-        # found by driving the CLI: a SIGKILLed daemon's forked pool
-        # workers inherit the listening socket fd, so the stale socket
-        # kept *accepting* connects into a backlog nobody drained — one
-        # status ping filled it and the next `workers start` blocked in
-        # connect() forever.  Connects are now time-bounded and the
-        # sweeper kills the dead daemon's process group.
-        from repro.engine.workers import (
-            ServiceScheduler,
-            service_health,
-            start_service,
-            stop_service,
-        )
-
-        directory = tmp_path / "svc-orphans"
-        try:
-            status = start_service(directory, jobs=2, idle_timeout=120)
-            pid = status["pid"]
-            sched = ServiceScheduler(directory)
-            sched.map(time.sleep, [0.01, 0.01])  # fork the pool workers
-            os.killpg(pid, 0)  # the daemon leads a live process group
-            os.kill(pid, signal.SIGKILL)
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-            # the orphans keep the listener open: this ping *connects* but
-            # is never served — it must still classify and return
-            start = time.monotonic()
-            assert service_health(directory)["state"] == "stale"
-            status = start_service(directory, jobs=2, idle_timeout=120)
-            assert time.monotonic() - start < 30.0
-            assert status.get("swept_stale") is True
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                try:
-                    os.killpg(pid, 0)
-                except ProcessLookupError:
-                    break  # group empty: orphans reaped
-                time.sleep(0.1)
-            else:
-                pytest.fail("orphaned pool workers survived the sweep")
-        finally:
-            stop_service(directory)
-
-    def test_injected_faults_leave_service_results_identical(self, tmp_path):
-        # the ISSUE's acceptance scenario: one worker killed mid-task AND
-        # one dropped socket reply, against real synthesis tasks through
-        # the daemon — results must match a fault-free serial run, and the
-        # daemon must report that it healed its pool
-        from repro.engine.workers import (
-            ServiceScheduler,
-            service_status,
-            start_service,
-            stop_service,
-        )
-
-        race = ProgramSpec.from_source(RACE_SOURCE, name="chaos-svc-race")
-        chain = ProgramSpec.from_source(CHAIN_SOURCE, name="chaos-svc-chain")
-        tasks = [
-            AnalysisTask.make("hoeffding", race, task_id="svc/kill-me"),
-            AnalysisTask.make("explowsyn", chain, task_id="svc/drop-me"),
-        ]
-        baseline = _serial_baseline(tasks)
-        plan = FaultPlan(
-            [
-                FaultRule("worker.kill", match="svc/kill-me", times=1),
-                FaultRule("service.drop_reply", match="svc/drop-me", times=1),
-            ]
-        )
-        directory = tmp_path / "svc-chaos"
-        # installed BEFORE start_service: the daemon inherits REPRO_FAULTS
-        with plan.installed():
-            try:
-                start_service(directory, jobs=2, idle_timeout=120)
-                engine = AnalysisEngine(ServiceScheduler(directory))
-                try:
-                    results = engine.run(tasks)
-                finally:
-                    engine.close()
-                status = service_status(directory)
-                assert status is not None
-                assert status["pool_rebuilds"] >= 1  # the daemon self-healed
-            finally:
-                stop_service(directory)
-        assert {tid: canon(r) for tid, r in results.items()} == baseline
-        retried = {e.task_id for e in engine.degradation.events if e.kind == "retry"}
-        assert "svc/drop-me" in retried
-
-    def test_workers_status_distinguishes_wedged_from_stale(self, tmp_path):
-        import json
-        import sys
-
-        from repro.cli import main
-        from repro.engine.workers import (
-            _paths,
-            service_health,
-            sweep_stale_service,
-        )
-
-        # wedged: the pid is alive (ours) but nothing answers pings and the
-        # heartbeat is long stale — exit 2, and the sweeper must NOT touch
-        # it (it owns a real process)
-        wedged = tmp_path / "svc-wedged"
-        wedged.mkdir()
-        paths = _paths(wedged)
-        paths["pid"].write_text(str(os.getpid()))
-        paths["heartbeat"].write_text(
-            json.dumps({"time": time.time() - 60.0, "pid": os.getpid(), "interval": 1.0})
-        )
-        assert service_health(wedged)["state"] == "wedged"
-        assert main(["workers", "status", "--dir", str(wedged)]) == 2
-        assert sweep_stale_service(wedged) is False
-        assert paths["pid"].exists()
-
-        # stale: state files with a dead pid — exit 1, and the sweeper reaps
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(proc.stdout.strip())
-        stale = tmp_path / "svc-stale"
-        stale.mkdir()
-        _paths(stale)["pid"].write_text(str(dead_pid))
-        assert service_health(stale)["state"] == "stale"
-        assert main(["workers", "status", "--dir", str(stale)]) == 1
-        assert sweep_stale_service(stale) is True
-        assert service_health(stale)["state"] == "down"
