@@ -22,8 +22,10 @@ Pipeline, mirroring the paper's five steps:
      (discrete distributions expand exactly into atom sums; continuous ones
      contribute their closed-form log-MGF as a smooth convex factor).
 5. **Optimization** — minimize ``a_init . v_init + b_init`` (the log of the
-   reported bound) with the convex solver; the returned point is verified
-   independently by :meth:`UpperBoundCertificate.verify`.
+   reported bound) with the convex solver's phase-I + log-barrier method,
+   which reaches the unique optimal value (Theorem 5.4) from no start
+   point; the returned point is verified independently by
+   :meth:`UpperBoundCertificate.verify`.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ def exp_lin_syn(
     pts: PTS,
     invariants: Optional[InvariantMap] = None,
     margin: float = 1e-9,
-    maxiter: int = 800,
     verify: bool = True,
     warm_start=None,
 ) -> UpperBoundCertificate:
@@ -152,8 +153,9 @@ def exp_lin_syn(
 
     ``invariants`` defaults to automatically generated interval invariants.
     ``warm_start`` may carry an :class:`ExpStateFunction` known to be a pre
-    fixed-point (e.g. a Hoeffding certificate's scaled function): it seeds
-    the convex solve, guaranteeing the result is at least that tight.
+    fixed-point (e.g. a Hoeffding certificate's scaled function): it is
+    returned instead of the solver's point when strictly tighter, so the
+    result is at least that tight.
     Returns an :class:`UpperBoundCertificate` whose ``log_bound`` is
     ``eta(l_init, v_init)``; ``verify=True`` (default) re-checks the
     certificate and raises :class:`VerificationError` on failure.
@@ -177,7 +179,7 @@ def exp_lin_syn(
             for v, value in row.items():
                 seed[template.a_name(loc, v)] = float(value)
             seed[template.b_name(loc)] = float(warm_start.consts[loc])
-    solution = program.solve(margin=margin, maxiter=maxiter, warm_start=seed)
+    solution = program.solve(margin=margin, warm_start=seed)
     if not solution.feasible:
         raise SynthesisError(
             f"ExpLinSyn: solver returned an infeasible point "
@@ -208,8 +210,8 @@ def _warm_start_from_deps(task, deps, pts):
 
     The task's ``warm_start_from`` parameter names the dependency (a
     ``hoeffding`` task, typically); its ``state_table`` — the scaled
-    certificate exponents — is a pre fixed-point, so seeding the convex
-    solve with it preserves the completeness guarantee sec5.2 <= sec5.1.
+    certificate exponents — is a pre fixed-point, so offering it to the
+    convex solve as a candidate preserves the guarantee sec5.2 <= sec5.1.
     Errored or absent upstream results simply mean a cold start.
     """
     from repro.core.templates import ExpStateFunction
@@ -244,7 +246,6 @@ def synthesize(task, deps=None, engine=None):
             pts,
             invariants,
             margin=float(task.param("margin", 1e-9)),
-            maxiter=int(task.param("maxiter", 800)),
             verify=bool(task.param("verify", True)),
             warm_start=warm,
         )

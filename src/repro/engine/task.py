@@ -65,7 +65,11 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: outward slack and the integer snap (which moved bounds *inward* on
 #: fractional lattices), so v6 bounds synthesized against the old boxes
 #: must read as misses.
-CACHE_KEY_VERSION = 7
+#: v8: one deterministic §5.2 solver — phase I + log-barrier Newton replaced
+#: SLSQP, so ExpLinSyn bounds and templates moved (3DWalk's by hundreds of
+#: orders) and ExpLinSyn tasks lost their iteration-cap parameter; v7
+#: ExpLinSyn results must read as misses.
+CACHE_KEY_VERSION = 8
 
 
 def _fixpoint_fingerprint() -> str:

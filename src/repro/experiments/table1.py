@@ -151,8 +151,8 @@ def run_row(
             row.error = f"sec5.1: {exc}"
         row.sec51_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    # a Hoeffding certificate is itself a pre fixed-point, so it seeds the
-    # convex solve: completeness then guarantees sec5.2 <= sec5.1 row-wise
+    # a Hoeffding certificate is itself a pre fixed-point, so it is a
+    # candidate for the convex solve: sec5.2 <= sec5.1 holds row-wise
     warm = cert51.state_function if cert51 is not None else None
     cert52 = exp_lin_syn(instance.pts, instance.invariants, warm_start=warm)
     row.sec52_ln = cert52.log_bound

@@ -9,7 +9,7 @@ variable tuple, i.e. ``{v : M v <= d}``.  Queries that need optimization
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.polyhedra.linexpr import LinExpr
@@ -242,21 +242,6 @@ class Polyhedron:
                 if status == "unbounded":
                     return False
         return True
-
-    def chebyshev_like_point(self) -> Optional[Dict[str, float]]:
-        """Some float point of the polyhedron, or ``None`` when empty.
-
-        Used to seed samplers and numeric verification; not necessarily an
-        interior point.
-        """
-        from repro.numeric.lp import solve_lp
-
-        a_ub, b_ub = self._lp_data()
-        n = len(self.variables)
-        result = solve_lp([0.0] * n, a_ub, b_ub)
-        if result.status != "optimal":
-            return None
-        return {v: float(result.x[i]) for i, v in enumerate(self.variables)}
 
     # -- dunder ------------------------------------------------------------------------
     def __len__(self) -> int:

@@ -122,6 +122,17 @@ class TestUniform:
         numeric = (d.log_mgf(t + h) - d.log_mgf(t - h)) / (2 * h)
         assert d.d_log_mgf(t) == pytest.approx(numeric, rel=1e-3, abs=1e-5)
 
+    # u = t (hi - lo) on both sides of each branch edge: log_mgf's series
+    # below |u| = 1e-6, d2_log_mgf's below 1e-2, the asymptote above 30
+    @pytest.mark.parametrize(
+        "u", [0.0, 5e-7, -2e-6, 5e-3, -2e-2, 0.7, -5.0, 29.9, -30.1, 45.0]
+    )
+    def test_d2_log_mgf_is_numeric_derivative(self, u):
+        d = UniformDistribution(-1, 2)
+        t, h = u / 3.0, 1e-3
+        numeric = (d.d_log_mgf(t + h) - d.d_log_mgf(t - h)) / (2 * h)
+        assert d.d2_log_mgf(t) == pytest.approx(numeric, rel=1e-5)
+
     def test_sample_within_support(self):
         d = UniformDistribution(2, 3)
         rng = random.Random(0)
@@ -154,6 +165,14 @@ class TestNormal:
     def test_d_log_mgf(self):
         d = NormalDistribution(1, 2)
         assert d.d_log_mgf(0.5) == pytest.approx(1 + 0.5 * 4)
+
+    @pytest.mark.parametrize("t", [-3.0, 0.0, 0.5, 7.0])
+    def test_d2_log_mgf_is_numeric_derivative(self, t):
+        d = NormalDistribution(1, 2)
+        h = 1e-3
+        numeric = (d.d_log_mgf(t + h) - d.d_log_mgf(t - h)) / (2 * h)
+        assert d.d2_log_mgf(t) == pytest.approx(numeric, rel=1e-9)
+        assert d.d2_log_mgf(t) == 4.0
 
     def test_sample_mean(self):
         d = NormalDistribution(5, 1)

@@ -10,8 +10,8 @@ from repro.errors import InfeasibleError, SolverError
 from repro.numeric.convex import ConvexProgram
 from repro.numeric.lp import LinearProgram, solve_lp
 from repro.numeric.ser import ternary_search
-from repro.polyhedra.linexpr import var
-from repro.pts.distributions import UniformDistribution
+from repro.polyhedra.linexpr import LinExpr, var
+from repro.pts.distributions import NormalDistribution, UniformDistribution
 
 
 class TestSolveLP:
@@ -132,6 +132,65 @@ class TestConvexProgram:
         direct = 2 * a + dist.log_mgf(a)
         assert direct <= 1e-6  # still feasible
         assert 2 * (a + 0.05) + dist.log_mgf(a + 0.05) > 0  # and near-binding
+
+    def test_equality_as_two_opposite_rows(self):
+        # a = b arrives as a - b <= 0 and b - a <= 0 (plus a duplicate), the
+        # shape of two transitions' D1 rays r and -r: no point satisfies
+        # them strictly, so the presolve must merge them into an equality.
+        # max a s.t. 0.5 e^{a+b} + 0.5 e^{-1} <= 1  =>  a = log(2 - 1/e) / 2
+        prog = ConvexProgram()
+        prog.add_linear_le(var("a") - var("b"))
+        prog.add_linear_le(var("b") - var("a"))
+        prog.add_linear_le(var("b") - var("a"))
+        prog.add_lse([(0.5, var("a") + var("b"), []), (0.5, LinExpr.constant(-1), [])])
+        prog.set_objective(-var("a"))
+        sol = prog.solve()
+        assert sol.method == "barrier"
+        assert sol.assignment["a"] == sol.assignment["b"]
+        assert sol.assignment["a"] == pytest.approx(0.5 * math.log(2 - math.exp(-1)), abs=1e-8)
+
+    def test_smooth_normal_mgf_term(self):
+        # max a s.t. log E[e^{a r}] = -a + a^2/2 <= 0 for r ~ N(-1, 1): a = 2
+        prog = ConvexProgram()
+        prog.add_lse([(1.0, LinExpr.constant(0), [(NormalDistribution(-1, 1), var("a"))])])
+        prog.set_objective(-var("a"))
+        sol = prog.solve()
+        assert sol.method == "barrier"
+        assert sol.assignment["a"] == pytest.approx(2.0, abs=1e-8)
+
+    def test_box_scales_with_fine_lattice_steps(self):
+        # the fz-mixed-lattice shape: exponents move a by 3e-6 and -1e-6,
+        # so the optimum a = 1e6 ln(999/3)/4 = 1.45e6 lies past a plain
+        # |a| <= 1e6 box; the box bounds a's contribution, 3e-6 |a|, instead
+        prog = ConvexProgram()
+        prog.add_lse(
+            [(0.001, var("b") + var("a") * 3e-6, []), (0.999, var("b") - var("a") * 1e-6, [])]
+        )
+        prog.set_objective(-var("b"))
+        sol = prog.solve()
+        u = math.log(999 / 3) / 4
+        assert sol.assignment["a"] == pytest.approx(1e6 * u, rel=1e-3)
+        best = -math.log(0.001 * math.exp(3 * u) + 0.999 * math.exp(-u))
+        assert -sol.objective == pytest.approx(best, abs=1e-8)
+
+    def test_warm_start_is_only_a_candidate(self):
+        def solve(warm_start=None):
+            prog = ConvexProgram()
+            prog.add_lse([(0.5, var("a") + 1, []), (0.5, var("a"), [])])
+            prog.add_linear_le(-var("b") - 3)
+            prog.add_lse([(1.0, var("a") + var("b") / 8, [])])
+            prog.set_objective(-var("a"))
+            return prog.solve(warm_start=warm_start)
+
+        cold = solve()
+        worse = solve({"a": -2.0, "b": 1.0})  # feasible, objective 2
+        assert worse.method == cold.method == "barrier"
+        assert worse.assignment == cold.assignment
+        # the optimum itself, which the margin keeps the solver off
+        best = -math.log(0.5 * (math.e + 1.0))
+        better = solve({"a": best, "b": -3.0})
+        assert better.method == "warm-start"
+        assert better.objective < cold.objective
 
     def test_max_violation_reports_worst(self):
         prog = ConvexProgram()

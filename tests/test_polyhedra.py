@@ -136,14 +136,6 @@ class TestPolyhedronLPQueries:
         assert not Polyhedron.from_box({"x": (0, None)}).is_bounded()
         assert Polyhedron.from_box({"x": (5, 3)}).is_bounded()  # empty
 
-    def test_sample_point(self):
-        p = Polyhedron.from_box({"x": (2, 4)})
-        pt = p.chebyshev_like_point()
-        assert pt is not None and 2 - 1e-9 <= pt["x"] <= 4 + 1e-9
-
-    def test_sample_point_empty(self):
-        assert Polyhedron.from_box({"x": (5, 3)}).chebyshev_like_point() is None
-
 
 @settings(max_examples=30, deadline=None)
 @given(

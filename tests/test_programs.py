@@ -1,8 +1,11 @@
 """Tests for the benchmark registry and program reconstructions."""
 
+import math
+from fractions import Fraction
 
 import pytest
 
+from repro.core import value_iteration
 from repro.errors import ModelError
 from repro.programs import BENCHMARKS, get_benchmark
 from repro.pts import simulate, validate_pts
@@ -57,11 +60,14 @@ def test_invariants_sound_on_trajectories(name, kwargs):
 
 
 class TestSemanticSpotChecks:
-    def test_rdadder_simulated_deviation(self):
-        # Pr[Binomial(500, .5) >= 275] ~ 0.014; d=25 row
+    def test_rdadder_deviation_probability(self):
+        # d=25 row: the sum exceeds 250 + 25 iff 276 or more of the 500
+        # fair increments fire, so the violation is P[Binomial(500, 1/2) >= 276]
         inst = get_benchmark("RdAdder", deviation=25)
-        r = simulate(inst.pts, episodes=4000, seed=4)
-        assert r.violation_rate == pytest.approx(0.014, abs=0.01)
+        tail = Fraction(sum(math.comb(500, j) for j in range(276, 501)), 2**500)
+        vi = value_iteration(inst.pts)
+        assert vi.certified and vi.width < 1e-9
+        assert vi.lower <= float(tail) <= vi.upper
 
     def test_coupon_mean_draws(self):
         # coupon collector over 5 coupons: E[T] = 5 * H_5 ~ 11.4
@@ -77,9 +83,12 @@ class TestSemanticSpotChecks:
         assert r.violation_rate == pytest.approx(0.744, abs=0.04)
 
     def test_ref_survival_rate(self):
+        # value iteration brackets it at 0.857442833, 5e-12 wide
         inst = get_benchmark("Ref", p="1e-5")
-        r = simulate(inst.pts, episodes=800, max_steps=30_000, seed=7)
-        assert r.violation_rate == pytest.approx(0.857, abs=0.05)
+        vi = value_iteration(inst.pts)
+        assert vi.certified
+        assert vi.lower == pytest.approx(0.857, abs=0.05)
+        assert vi.upper == pytest.approx(0.857, abs=0.05)
 
     def test_m1dwalk_survival(self):
         inst = get_benchmark("M1DWalk", p="1e-4")

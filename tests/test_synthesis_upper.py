@@ -10,10 +10,17 @@ The key cross-validations:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.lang import compile_source
+from repro.polyhedra.linexpr import var
+from repro.pts import FAIL, TERM, NormalDistribution, PTSBuilder
 from repro.core import (
     azuma_baseline,
     exp_lin_syn,
@@ -80,6 +87,49 @@ class TestExpLinSynRace:
 
     def test_solver_reported_feasible(self, race_explinsyn):
         assert "violation" in race_explinsyn.solver_info
+
+
+def test_normal_noise_walk_reaches_the_closed_form_optimum():
+    """e += N(-0.1, 0.3) for 100 steps, failing if e ends >= 5.  With
+    theta(loop) = exp(a e + c k + b) the program is: min b subject to
+    c - 0.1 a + 0.045 a^2 <= 0 and 5 a + 100 c + b >= 0, so b = -12.5 at
+    a = 5/3.  Phase I stops far up that curved boundary (a near 100), and
+    phase II has to join the central path where that point lies."""
+    b = PTSBuilder(["e", "k"], init={"e": 0, "k": 0}, name="normal-walk")
+    noise = b.sampling("noise", NormalDistribution("-0.1", "0.3"))
+    b.transition(
+        "loop",
+        guard=[b.le(var("k"), 99)],
+        forks=[("loop", 1, {"e": var("e") + noise, "k": var("k") + 1})],
+    )
+    b.goto("loop", FAIL, guard=[b.ge(var("k"), 100), b.ge(var("e"), 5)])
+    b.goto("loop", TERM, guard=[b.ge(var("k"), 100), b.le(var("e"), 5)])
+    cert = exp_lin_syn(b.build(init_location="loop"))
+    assert cert.log_bound == pytest.approx(-12.5, abs=1e-6)
+    assert cert.state_function.coeffs["loop"]["e"] == pytest.approx(5 / 3, abs=1e-3)
+
+
+def test_explinsyn_bound_does_not_depend_on_blas_threads():
+    """The §5.2 bound must not depend on the BLAS thread count, whose float
+    reductions differ: 3DWalk(100,100,100) must reach its optimum, about
+    1e-4214.4, at one and at two threads, bit for bit."""
+    code = (
+        "from repro.core import exp_lin_syn\n"
+        "from repro.programs import get_benchmark\n"
+        "inst = get_benchmark('3DWalk', x0=100, y0=100, z0=100)\n"
+        "print(repr(exp_lin_syn(inst.pts, inst.invariants).log_bound))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        printed.append(run.stdout.strip())
+    assert printed[0] == printed[1]
+    assert float(printed[0]) / math.log(10) == pytest.approx(-4214.42, abs=0.01)
 
 
 class TestHoeffdingRace:
