@@ -5,9 +5,7 @@ Commands
 
 ``compile``    parse a program and print the compiled transition system
 ``analyze``    synthesize assertion-violation bounds (upper and/or lower);
-               ``--jobs N`` solves the independent eps-probe LPs of the
-               Hoeffding ternary search concurrently, ``--cache`` replays
-               identical analyses from disk
+               ``--cache`` replays identical analyses from disk
 ``simulate``   Monte-Carlo estimate of the violation probability
 ``exact``      value-iteration bracket on the violation probability
                (``--certificate PATH`` also emits the run certificate)
@@ -95,8 +93,6 @@ def _cmd_analyze(args) -> int:
     engine = engine_from_args(args)
 
     def run(algorithm: str):
-        # run_inline keeps the engine attached, so a parallel scheduler fans
-        # the Hoeffding eps-probe LPs out even for this single program
         result = engine.run_inline(AnalysisTask.make(algorithm, spec))
         if not result.ok:
             raise SynthesisError(result.error)
@@ -498,11 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.engine.args import add_engine_args
     from repro.engine.cache import DEFAULT_CACHE_DIR
 
-    add_engine_args(
-        p_analyze,
-        jobs_help="solve independent engine subtasks (Hoeffding eps-probe "
-        "LPs) on up to N worker processes; 0 = one per CPU",
-    )
+    add_engine_args(p_analyze)
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo estimate")

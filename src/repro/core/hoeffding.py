@@ -17,9 +17,12 @@ exposed here as ``factor="azuma"``.)
 
 All four conditions are affine, so after fixing ``delta = 1`` (``eta``
 scales freely) and applying Farkas' lemma they form an LP — except for the
-bilinear objective ``8 * eps * omega``, handled by the Appendix C.2 ternary
+bilinear objective ``8 * eps * omega``, handled by Appendix C.2's Ser
 search (:mod:`repro.numeric.ser`): each probe fixes ``eps`` and minimizes
-``omega`` (an upper bound on ``eta(l_init, v_init)``) by LP.
+``omega`` (an upper bound on ``eta(l_init, v_init)``) by LP.  The system is
+assembled once; ``eps`` is one of its columns, pinned per probe, and the
+search reads ``omega``'s slope off that column's marginal, which finds the
+exact optimum in a few LPs.
 """
 
 from __future__ import annotations
@@ -28,18 +31,9 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-
-from repro.errors import (
-    InfeasibleError,
-    SolverError,
-    SynthesisError,
-    TaskError,
-    TaskTimeoutError,
-)
+from repro.errors import SynthesisError
 from repro.numeric.lp import LinearProgram
-from repro.numeric.ser import ternary_search
+from repro.numeric.ser import lp_eps_max, lp_oracle, sandwich_search
 from repro.polyhedra.constraints import Polyhedron
 from repro.polyhedra.farkas import FarkasEncoder, TemplateConstraint
 from repro.polyhedra.linexpr import LinExpr
@@ -209,66 +203,29 @@ def _fail_reachable(pts: PTS, invariants: InvariantMap) -> bool:
     return False
 
 
-def _lp_with(
-    constraints: List[TemplateConstraint], extra: List[TemplateConstraint] = ()
-) -> LinearProgram:
-    lp = LinearProgram()
-    lp.add_constraints(constraints)
-    lp.add_constraints(extra)
-    return lp
-
-
-def _assemble_system(
+def _assemble_lp(
     pts: PTS, invariants: InvariantMap, template: ExpTemplate, factor: str
-) -> List[TemplateConstraint]:
-    """The full (C1)-(C4) system for ``factor``, as one constraint list.
+) -> LinearProgram:
+    """The full (C1)-(C4) system for ``factor``, assembled once as an LP.
 
     Deterministic in its inputs (fresh Farkas multiplier names are counted
     per encoder), so a worker process rebuilding the system from a program
-    spec produces exactly the LP the parent would have solved.
+    spec solves exactly the LP the parent would have solved.
     """
-    constraints = _build_constraints(pts, invariants, template)
+    lp = LinearProgram()
+    lp.add_constraints(_build_constraints(pts, invariants, template))
     if factor == "azuma":
         # [CNZ17] via Azuma's inequality: symmetric differences beta = -delta/2
-        constraints = constraints + [
-            TemplateConstraint(
-                LinExpr.variable(BETA) + Fraction(1, 2), "==", label="azuma:beta"
-            )
-        ]
-    return constraints
-
-
-def _probe_lp(
-    constraints: List[TemplateConstraint], multiplier: float, eps: float
-) -> Tuple[float, Optional[Dict[str, float]]]:
-    """One Ser eps-probe: fix ``eps``, minimize ``omega`` by LP.
-
-    This is the shared evaluation kernel of the serial ternary search and
-    the engine's parallel probe subtasks — both must round/encode ``eps``
-    identically for the parallel bracket to be bit-identical to the serial
-    one.
-    """
-    fixed = TemplateConstraint(
-        LinExpr.variable(EPS) - LinExpr.constant(Fraction(str(round(eps, 12)))),
-        "==",
-        label="fix-eps",
-    )
-    lp = _lp_with(constraints, [fixed])
-    try:
-        assignment = lp.solve(minimize=LinExpr.variable(OMEGA))
-    except (InfeasibleError, SolverError):
-        return float("inf"), None
-    return multiplier * eps * assignment[OMEGA], assignment
+        lp.add_eq(LinExpr.variable(BETA) + Fraction(1, 2), label="azuma:beta")
+    return lp
 
 
 def _synthesize(
     pts: PTS,
     invariants: Optional[InvariantMap],
     factor: str,
-    search_tol: float,
     eps_cap: float,
     verify: bool,
-    probe_submit=None,
 ) -> UpperBoundCertificate:
     start = time.perf_counter()
     if invariants is None:
@@ -290,40 +247,27 @@ def _synthesize(
             solve_seconds=time.perf_counter() - start,
             solver_info="failure sink unreachable under the invariant",
         )
-    constraints = _assemble_system(pts, invariants, template, factor)
+    lp = _assemble_lp(pts, invariants, template, factor)
     multiplier = 8.0 if factor == "hoeffding" else 4.0
 
-    # Step 1 of Ser: feasibility and the eps range.
-    probe = _lp_with(constraints)
-    try:
-        values = probe.solve(minimize=-LinExpr.variable(EPS))
-        eps_max = min(values[EPS], eps_cap)
-    except InfeasibleError:
+    # Step 1 of Ser: feasibility and the eps range; an unbounded eps is
+    # capped (the bound becomes astronomically small).
+    eps_max = lp_eps_max(lp, EPS, eps_cap)
+    if eps_max is None:
         raise SynthesisError(
             f"{factor}: RepRSM constraint system is infeasible "
             "(no affine repulsing supermartingale exists for this invariant)"
         )
-    except SolverError:
-        eps_max = eps_cap  # eps unbounded: cap it (bound becomes astronomically small)
     if eps_max <= 0:
         return _trivial_certificate(pts, invariants, template, factor, start)
 
-    # Step 2: ternary search over eps; each probe is one LP minimizing omega.
-    # With an engine attached, the independent probes of one bracket step are
-    # emitted as subtasks and solve concurrently (see ``synthesize``).
-    def f(eps: float):
-        return _probe_lp(constraints, multiplier, eps)
-
-    result = ternary_search(
-        f,
-        0.0,
-        eps_max,
-        tol=max(search_tol, search_tol * eps_max),
-        evaluate_submit=probe_submit,
+    # Step 2: minimize multiplier * eps * omega*(eps) over omega*'s pieces.
+    result = sandwich_search(
+        lp_oracle(lp, LinExpr.variable(OMEGA), EPS), 0.0, eps_max, multiplier
     )
-    if result.payload is None or result.value >= 0:
+    if not result.found or result.value >= 0:
         return _trivial_certificate(pts, invariants, template, factor, start)
-    assignment = result.payload
+    assignment = lp.assignment(result.payload.x)
     eps_star = assignment[EPS]
     beta_star = assignment.get(BETA, 0.0)
     eta = template.instantiate(assignment)
@@ -375,7 +319,6 @@ def _trivial_certificate(pts, invariants, template, factor, start) -> UpperBound
 def hoeffding_synthesis(
     pts: PTS,
     invariants: Optional[InvariantMap] = None,
-    search_tol: float = 1e-6,
     eps_cap: float = 1e4,
     verify: bool = True,
 ) -> UpperBoundCertificate:
@@ -385,13 +328,12 @@ def hoeffding_synthesis(
     than the Azuma-based [CNZ17] baseline (Remark 2) but generally looser
     than :func:`~repro.core.explinsyn.exp_lin_syn`.
     """
-    return _synthesize(pts, invariants, "hoeffding", search_tol, eps_cap, verify)
+    return _synthesize(pts, invariants, "hoeffding", eps_cap, verify)
 
 
 def azuma_baseline(
     pts: PTS,
     invariants: Optional[InvariantMap] = None,
-    search_tol: float = 1e-6,
     eps_cap: float = 1e4,
     verify: bool = False,
 ) -> UpperBoundCertificate:
@@ -402,131 +344,46 @@ def azuma_baseline(
     most favourable reading of the prior work's bound, so every comparison
     in our tables is conservative.
     """
-    return _synthesize(pts, invariants, "azuma", search_tol, eps_cap, verify)
+    return _synthesize(pts, invariants, "azuma", eps_cap, verify)
 
 
 # -- analysis-engine protocol -------------------------------------------------------
 
-#: per-process memo of rebuilt probe constraint systems, keyed by
-#: (program spec, factor) — a pool worker assembles the (C1)-(C4) system
-#: once and then serves every eps-probe LP of the search from it
-_PROBE_SYSTEMS: Dict[Tuple[object, str], Tuple[List[TemplateConstraint], float]] = {}
-
-
-def _probe_system(spec, factor: str) -> Tuple[List[TemplateConstraint], float]:
-    key = (spec, factor)
-    cached = _PROBE_SYSTEMS.get(key)
-    if cached is None:
-        pts, invariants = spec.resolve()
-        template = ExpTemplate(pts, include_sinks=True)
-        constraints = _assemble_system(pts, invariants, template, factor)
-        multiplier = 8.0 if factor == "hoeffding" else 4.0
-        _PROBE_SYSTEMS.clear()  # one system at a time: they are large
-        _PROBE_SYSTEMS[key] = (constraints, multiplier)
-        cached = _PROBE_SYSTEMS[key]
-    return cached
-
 
 def synthesize_probe(task, deps=None, engine=None):
-    """Engine subtask: one Ser eps-probe LP (see :func:`_probe_lp`)."""
+    """Engine entry for ``hoeffding_probe`` tasks: one Ser oracle call, i.e.
+    ``omega*`` and its slope at the task's ``eps`` on the assembled LP."""
     from repro.engine.task import CertificateResult
 
     factor = task.param("factor", "hoeffding")
     eps = float(task.param("eps"))
-    constraints, multiplier = _probe_system(task.program, factor)
+    pts, invariants = task.program.resolve()
+    lp = _assemble_lp(pts, invariants, ExpTemplate(pts, include_sinks=True), factor)
     start = time.perf_counter()
-    value, assignment = _probe_lp(constraints, multiplier, eps)
+    point = lp_oracle(lp, LinExpr.variable(OMEGA), EPS)(eps)
+    details = {"omega": None, "slope": None, "assignment": None}
+    if point is not None:
+        omega, slope, result = point
+        details.update(omega=omega, slope=slope, assignment=lp.assignment(result.x))
     return CertificateResult(
         algorithm=task.algorithm,
         status="ok",
         seconds=time.perf_counter() - start,
-        details={"value": value, "assignment": assignment},
+        details=details,
     )
 
 
-class _ProbeHandle:
-    """Adapter from an engine subtask future to the ``(value, assignment)``
-    pair the ternary search expects; a failed probe surfaces as a
-    :class:`SynthesisError` at collection time.  The wait is bounded by
-    the subtask's deadline — a hung probe worker becomes a retryable
-    :class:`~repro.errors.TaskTimeoutError` instead of blocking the
-    search forever."""
-
-    __slots__ = ("_future", "_eps", "_timeout")
-
-    def __init__(self, future, eps, timeout=None):
-        self._future = future
-        self._eps = eps
-        self._timeout = timeout
-
-    def result(self):
-        try:
-            outcome = self._future.result(timeout=self._timeout)
-        except FuturesTimeout as exc:
-            self._future.cancel()
-            raise TaskTimeoutError(
-                f"eps-probe {self._eps!r} exceeded its {self._timeout:g}s deadline"
-            ) from exc
-        if not outcome.ok:
-            raise SynthesisError(f"eps-probe {self._eps!r} failed: {outcome.error}")
-        return outcome.details["value"], outcome.details["assignment"]
-
-
 def synthesize(task, deps=None, engine=None):
-    """Engine entry point for ``hoeffding``/``azuma`` tasks.
-
-    With a parallel engine attached (``repro analyze --jobs N``), the
-    ternary search's probe rounds are emitted as ``hoeffding_probe``
-    subtasks and *streamed* through the engine's executor as futures — no
-    barrier map, so the probes share worker capacity with whatever else is
-    in flight.  Each worker rebuilds the constraint system from the program
-    spec once (memoized per process) and the probe LPs are pure functions
-    of ``eps``, so the bracket — and therefore the bound — is bit-identical
-    to the serial search.
-    """
-    from repro.engine.task import AnalysisTask, CertificateResult, result_from_certificate
+    """Engine entry point for ``hoeffding``/``azuma`` tasks."""
+    from repro.engine.task import CertificateResult, result_from_certificate
 
     factor = "azuma" if task.algorithm == "azuma" else "hoeffding"
-    search_tol = float(task.param("search_tol", 1e-6))
     eps_cap = float(task.param("eps_cap", 1e4))
     verify = bool(task.param("verify", factor == "hoeffding"))
     pts, invariants = task.program.resolve()
-
-    probe_submit = None
-    if engine is not None and engine.parallel:
-
-        def probe_submit(eps_values):
-            subtasks = [
-                AnalysisTask.make(
-                    "hoeffding_probe",
-                    task.program,
-                    params={"factor": factor, "eps": repr(eps)},
-                    task_id=f"{task.task_id}:probe:{i}:{eps!r}",
-                    cacheable=False,
-                )
-                for i, eps in enumerate(eps_values)
-            ]
-            futures = engine.submit_subtasks(subtasks)
-            return [
-                _ProbeHandle(future, eps, timeout=engine.subtask_timeout(subtask))
-                for future, eps, subtask in zip(futures, eps_values, subtasks)
-            ]
-
     start = time.perf_counter()
     try:
-        certificate = _synthesize(
-            pts, invariants, factor, search_tol, eps_cap, verify, probe_submit=probe_submit
-        )
-    except BrokenProcessPool as exc:
-        # a probe worker died: that is an infrastructure casualty, not a
-        # synthesis failure — do not let it masquerade as an error row
-        raise TaskError(
-            "worker process died while solving eps-probe LPs; the pool is gone"
-        ) from exc
-    except TaskError:
-        # same for a probe that timed out or hit an injected fault:
-        # infrastructure failures propagate so the engine can retry them
-        raise
+        certificate = _synthesize(pts, invariants, factor, eps_cap, verify)
     except Exception as exc:
         return CertificateResult.failure(task, exc, seconds=time.perf_counter() - start)
     details = {"init_location": pts.init_location}

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import InfeasibleError, ModelError, SolverError, SynthesisError
+from repro.errors import ModelError, SynthesisError
 from repro.numeric.lp import LinearProgram
-from repro.numeric.ser import ternary_search
+from repro.numeric.ser import lp_eps_max, lp_oracle, sandwich_search
 from repro.polyhedra.constraints import Polyhedron
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
@@ -209,8 +209,8 @@ def _products_up_to_degree(
 
 #: Handelman basis cache, keyed by the premise's defining inequalities and
 #: the degree budget.  The same premise polytope appears in one block per
-#: RepRSM condition (C3, C4lo, C4hi, ...) and again on every Ser probe, so
-#: the basis — the expensive polynomial-product enumeration — is shared.
+#: RepRSM condition (C3, C4lo, C4hi, ...), so the basis — the expensive
+#: polynomial-product enumeration — is shared.
 _HANDELMAN_BASIS_CACHE: Dict[Tuple, List[Polynomial]] = {}
 
 
@@ -288,7 +288,6 @@ def polynomial_hoeffding_synthesis(
     invariants: Optional[InvariantMap] = None,
     degree: int = 2,
     handelman_degree: Optional[int] = None,
-    search_tol: float = 1e-5,
     eps_cap: float = 1e3,
     verify: bool = False,
 ) -> UpperBoundCertificate:
@@ -310,74 +309,62 @@ def polynomial_hoeffding_synthesis(
     handelman_degree = handelman_degree or degree + 1
     templates, unknowns = _poly_template(pts, degree)
 
-    def build_lp(eps_value: float) -> LinearProgram:
-        lp = LinearProgram()
-        for name in unknowns:
-            lp.add_variable(name)
-        lp.add_variable("_omega", upper=0.0)
-        eps = as_fraction(round(eps_value, 10))
-        init_val = {v: pts.init_valuation[v] for v in pts.program_vars}
-        # (C1): eta(init) <= omega
-        eta_init = templates[pts.init_location].at_point(init_val)
-        lp.add_le(eta_init - LinExpr.variable("_omega"), label="C1")
-        # (C2): eta(fail) >= 0 on I(fail)
-        fail_inv = invariants.of(pts.fail_location)
-        if not fail_inv.is_empty():
+    lp = LinearProgram()
+    for name in unknowns:
+        lp.add_variable(name)
+    lp.add_variable("_omega", upper=0.0)
+    # eps is an LP column, so the Ser search pins it per probe on one system
+    lp.add_variable("_eps", lower=0.0)
+    eps = Polynomial({(): LinExpr.variable("_eps")})
+    init_val = {v: pts.init_valuation[v] for v in pts.program_vars}
+    # (C1): eta(init) <= omega
+    eta_init = templates[pts.init_location].at_point(init_val)
+    lp.add_le(eta_init - LinExpr.variable("_omega"), label="C1")
+    # (C2): eta(fail) >= 0 on I(fail)
+    fail_inv = invariants.of(pts.fail_location)
+    if not fail_inv.is_empty():
+        handelman_constraints(
+            templates[pts.fail_location], fail_inv, lp, handelman_degree, "C2"
+        )
+    # (C3) + (C4) per transition
+    for t_index, t in enumerate(pts.transitions):
+        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
+        if psi.is_empty():
+            continue
+        expected = Polynomial.constant(0)
+        for fork in t.forks:
+            mapping = {v: fork.update.expr_for(v) for v in pts.program_vars}
+            post = templates[fork.destination].substitute_affine(mapping)
+            expected = expected + post.scale(fork.probability)
+        decrease = templates[t.source] - expected - eps
+        handelman_constraints(decrease, psi, lp, handelman_degree, f"C3@{t_index}")
+        for f_index, fork in enumerate(t.forks):
+            mapping = {v: fork.update.expr_for(v) for v in pts.program_vars}
+            post = templates[fork.destination].substitute_affine(mapping)
+            diff = post - templates[t.source]
+            lp.add_variable("_beta")
+            beta = Polynomial({(): LinExpr.variable("_beta")})
             handelman_constraints(
-                templates[pts.fail_location], fail_inv, lp, handelman_degree, "C2"
+                diff - beta, psi, lp, handelman_degree, f"C4lo@{t_index}.{f_index}"
             )
-        # (C3) + (C4) per transition
-        for t_index, t in enumerate(pts.transitions):
-            psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-            if psi.is_empty():
-                continue
-            expected = Polynomial.constant(0)
-            for fork in t.forks:
-                mapping = {
-                    v: fork.update.expr_for(v) for v in pts.program_vars
-                }
-                post = templates[fork.destination].substitute_affine(mapping)
-                expected = expected + post.scale(fork.probability)
-            decrease = (
-                templates[t.source] - expected - Polynomial.constant(eps)
+            handelman_constraints(
+                beta + Polynomial.constant(1) - diff,
+                psi,
+                lp,
+                handelman_degree,
+                f"C4hi@{t_index}.{f_index}",
             )
-            handelman_constraints(decrease, psi, lp, handelman_degree, f"C3@{t_index}")
-            for f_index, fork in enumerate(t.forks):
-                mapping = {v: fork.update.expr_for(v) for v in pts.program_vars}
-                post = templates[fork.destination].substitute_affine(mapping)
-                diff = post - templates[t.source]
-                lp.add_variable("_beta")
-                beta = Polynomial({(): LinExpr.variable("_beta")})
-                handelman_constraints(
-                    diff - beta, psi, lp, handelman_degree, f"C4lo@{t_index}.{f_index}"
-                )
-                handelman_constraints(
-                    beta + Polynomial.constant(1) - diff,
-                    psi,
-                    lp,
-                    handelman_degree,
-                    f"C4hi@{t_index}.{f_index}",
-                )
-        return lp
 
-    def f(eps_value: float):
-        if eps_value <= 0:
-            return float("inf"), None
-        lp = build_lp(eps_value)
-        try:
-            assignment = lp.solve(minimize=LinExpr.variable("_omega"))
-        except (InfeasibleError, SolverError):
-            return float("inf"), None
-        return 8.0 * eps_value * assignment["_omega"], assignment
-
-    # bracket eps: grow until infeasible
-    hi = 1.0
-    while f(hi)[0] < float("inf") and hi < eps_cap:
-        hi *= 4.0
-    result = ternary_search(f, 1e-9, min(hi, eps_cap), tol=search_tol)
-    if result.payload is None or result.value >= 0:
+    # the eps range, then the same exact search as the affine pipeline
+    eps_max = lp_eps_max(lp, "_eps", eps_cap)
+    if eps_max is None:
         raise SynthesisError("no useful polynomial RepRSM found")
-    assignment = result.payload
+    result = sandwich_search(
+        lp_oracle(lp, LinExpr.variable("_omega"), "_eps"), 0.0, eps_max, 8.0
+    )
+    if not result.found or result.value >= 0:
+        raise SynthesisError("no useful polynomial RepRSM found")
+    assignment = lp.assignment(result.payload.x)
     eps_star = result.eps
 
     init_float = {k: float(v) for k, v in pts.init_valuation.items()}

@@ -1,13 +1,13 @@
 """Unified analysis engine: task graphs + pluggable schedulers.
 
 Every synthesis the repository performs — a Table 1 row, a lower-bound
-certificate, a single eps-probe LP inside the Ser ternary search — is
-expressed as an :class:`AnalysisTask` (program + algorithm + parameters,
-with a deterministic cache key).  The :class:`AnalysisEngine` executes DAGs
-of such tasks through a pluggable :class:`Scheduler` (serial or process
-pool) with an optional on-disk :class:`ResultCache`, so parallelism and
-caching compose uniformly across all synthesis families and experiment
-tables instead of being re-plumbed per entry point.
+certificate, an exact bracket — is expressed as an :class:`AnalysisTask`
+(program + algorithm + parameters, with a deterministic cache key).  The
+:class:`AnalysisEngine` executes DAGs of such tasks through a pluggable
+:class:`Scheduler` (serial or process pool) with an optional on-disk
+:class:`ResultCache`, so parallelism and caching compose uniformly across
+all synthesis families and experiment tables instead of being re-plumbed
+per entry point.
 
 Layer contract (see ``docs/ARCHITECTURE.md``): the engine sits on top of
 ``repro.core`` and orchestrates it; algorithms are looked up in

@@ -1,9 +1,10 @@
 """Shared argparse wiring for entry points that own an ``AnalysisEngine``.
 
 ``repro analyze`` and the experiments runner accept the same engine
-surface (``--jobs`` / ``--cache`` / ``--task-timeout`` / ``--retries``);
-keeping the argument definitions and their env fallbacks here means the
-two entry points cannot drift.  The engine itself, with its pool → serial
+surface (``--cache`` / ``--task-timeout`` / ``--retries``, plus ``--jobs``
+on the runner, which has independent tasks to fan out); keeping the
+argument definitions and their env fallbacks here means the two entry
+points cannot drift.  The engine itself, with its pool → serial
 degradation chain, is built by :meth:`AnalysisEngine.with_jobs`.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from typing import Optional
 
 __all__ = ["add_engine_args", "engine_from_args"]
 
@@ -20,16 +22,13 @@ ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 ENV_RETRIES = "REPRO_RETRIES"
 
 
-def add_engine_args(parser, jobs_help: str) -> None:
-    """Add the shared engine options to ``parser``.
-
-    ``jobs_help`` differs per entry point (the runner fans out table
-    tasks, ``analyze`` fans out eps-probe LPs); the other options are
-    uniform.
-    """
+def add_engine_args(parser, jobs_help: Optional[str] = None) -> None:
+    """Add the shared engine options to ``parser``; ``--jobs`` only with a
+    ``jobs_help`` (``analyze`` runs one task at a time, serially)."""
     from repro.engine.cache import DEFAULT_CACHE_DIR
 
-    parser.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
+    if jobs_help is not None:
+        parser.add_argument("--jobs", type=int, default=1, metavar="N", help=jobs_help)
     parser.add_argument(
         "--cache",
         nargs="?",
@@ -85,7 +84,7 @@ def engine_from_args(args):
     retry_policy = RetryPolicy(retries=max(0, retries)) if retries is not None else None
 
     return AnalysisEngine.with_jobs(
-        args.jobs,
+        getattr(args, "jobs", 1),
         ResultCache(args.cache) if args.cache else None,
         retry_policy=retry_policy,
         task_timeout=task_timeout,

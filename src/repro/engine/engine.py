@@ -42,11 +42,11 @@ in ``tests/test_faults.py`` via :mod:`repro.engine.faults`):
   to a first-try run.  Only when retries, pool rebuilds and the
   degradation chain are all exhausted does the failure propagate.
 
-In-process synthesizers can themselves emit subtasks as futures via
-:meth:`AnalysisEngine.submit_subtasks` — that is how the Ser ternary
-search solves the independent eps-probe LPs of one bracket step
-concurrently.  A ``KeyboardInterrupt`` during dispatch cancels everything
-still queued and shuts the pool down before propagating.
+Tasks are the unit of parallelism: a synthesis runs start to finish in
+one process and emits no subtasks (Hoeffding's Ser search takes a few
+sequential LPs, see :mod:`repro.numeric.ser`).  A ``KeyboardInterrupt``
+during dispatch cancels everything still queued and shuts the pool down
+before propagating.
 """
 
 from __future__ import annotations
@@ -194,15 +194,14 @@ def execute_task(
 ) -> CertificateResult:
     """Run one task; *synthesis* failures become ``status="error"`` results.
 
-    Infrastructure failures (:class:`TaskError`, ``BrokenProcessPool`` —
-    e.g. a probe worker pool breaking under an in-process synthesis) still
-    propagate: they are retryable, and recording one as a row error would
-    misreport the experiment.
+    Infrastructure failures (:class:`TaskError`) still propagate: they are
+    retryable, and recording one as a row error would misreport the
+    experiment.
     """
     try:
         fn = _resolve(task.algorithm)
         result = fn(task, deps=dict(deps or {}), engine=engine)
-    except (TaskError, BrokenProcessPool):
+    except TaskError:
         raise
     except Exception as exc:  # failures are data: tables record them per row
         return CertificateResult.failure(task, exc)
@@ -211,9 +210,8 @@ def execute_task(
 
 
 def _pool_execute(payload) -> CertificateResult:
-    """Top-level worker entry (picklable); runs without an engine, so any
-    subtask emission inside the synthesizer degrades to serial.  The
-    payload carries the retry layer's attempt index so fault injection
+    """Top-level worker entry (picklable); runs the task without an engine.
+    The payload carries the retry layer's attempt index so fault injection
     (:mod:`repro.engine.faults`) stays deterministic across processes."""
     task, deps, attempt = payload
     task_boundary(task.task_id, attempt)
@@ -313,10 +311,6 @@ class AnalysisEngine:
         self.max_pool_rebuilds = int(max_pool_rebuilds)
         self._pool_rebuilds = 0
         self._report = DegradationReport()
-        #: attempt index of the inline task currently executing, threaded
-        #: into subtask payloads so fault rules keyed on attempts see the
-        #: enclosing synthesis's retry count
-        self._inline_attempt = 0
 
     @staticmethod
     def with_jobs(
@@ -624,17 +618,12 @@ class AnalysisEngine:
         task: AnalysisTask,
         deps: Optional[Mapping[str, CertificateResult]] = None,
     ) -> CertificateResult:
-        """Execute one task in the calling process, passing the engine down
-        so the synthesizer may fan subtasks out (eps-probe LPs).
-
-        The same retry/self-healing semantics as :meth:`run` apply: an
-        infrastructure failure inside the synthesis (a probe pool
-        breaking, an injected transient, a subtask deadline) rebuilds the
-        pool if needed and re-runs the synthesis — which is safe and
+        """Execute one task in the calling process, with the cache and the
+        retry semantics of :meth:`run`: an infrastructure failure (an
+        injected transient, say) re-runs the synthesis, which is safe and
         bit-identical because synthesizers are pure functions of
         ``(task, deps)``.  Deadlines cannot preempt the inline computation
-        itself (it runs on the calling thread); they bound its subtask
-        waits instead.
+        (it runs on the calling thread).
         """
         cached = self._lookup(task)
         if cached is not None:
@@ -642,17 +631,11 @@ class AnalysisEngine:
         attempt = 0
         while True:
             try:
-                self._inline_attempt = attempt
                 task_boundary(task.task_id, attempt)
                 result = execute_task(task, deps=deps, engine=self)
                 break
-            except (BrokenProcessPool, TaskError) as exc:
+            except TaskError as exc:
                 attempt += 1
-                pool_fault = isinstance(exc, (BrokenProcessPool, TaskTimeoutError)) or isinstance(
-                    getattr(exc, "__cause__", None), BrokenProcessPool
-                )
-                if pool_fault and self._crash_domain() == "pool":
-                    self._heal_pool(exc)  # may switch backend or raise
                 if attempt > self.retry_policy.retries:
                     if self._switch_backend(
                         f"task {task.task_id!r} failed {attempt}x: {exc}"
@@ -662,33 +645,8 @@ class AnalysisEngine:
                     raise _final_error(task, attempt, exc) from exc
                 self._report.note("retry", self._backend_name(), str(exc), task.task_id)
                 time.sleep(self.retry_policy.delay(task.cache_key, attempt))
-            finally:
-                self._inline_attempt = 0
         self._store(task, result)
         return result
-
-    def submit_subtasks(self, tasks: Sequence[AnalysisTask]) -> List["object"]:
-        """Stream fine-grained subtasks through the scheduler as futures —
-        no cache lookups, no DAG bookkeeping (subtasks are leaves).  The
-        caller collects each future's result as it needs it, so probe
-        rounds share the executor with whatever else is in flight instead
-        of barriering it.  Callers should bound their waits with
-        :meth:`subtask_timeout` (see ``repro.core.hoeffding``)."""
-        tasks = list(tasks)
-        return [
-            self.scheduler.submit(
-                _pool_execute, (t, {}, self._inline_attempt), width_hint=len(tasks)
-            )
-            for t in tasks
-        ]
-
-    def subtask_timeout(self, task: AnalysisTask) -> Optional[float]:
-        """The wall-clock budget a caller should allow a subtask future."""
-        return self._effective_timeout(task)
-
-    @property
-    def parallel(self) -> bool:
-        return getattr(self.scheduler, "workers", 1) > 1
 
     # -- cache plumbing ------------------------------------------------------------
     def _lookup(self, task: AnalysisTask) -> Optional[CertificateResult]:

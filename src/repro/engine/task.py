@@ -69,7 +69,11 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: SLSQP, so ExpLinSyn bounds and templates moved (3DWalk's by hundreds of
 #: orders) and ExpLinSyn tasks lost their iteration-cap parameter; v7
 #: ExpLinSyn results must read as misses.
-CACHE_KEY_VERSION = 8
+#: v9: exact Ser — Hoeffding's eps-search minimizes over omega*'s linear
+#: pieces instead of ternary-searching, so §5.1 and Azuma bounds, eps* and
+#: RepRSMs moved in their last digits (3DWalk's by 1e-5 orders) and lost
+#: the search_tol parameter; v8 results must read as misses.
+CACHE_KEY_VERSION = 9
 
 
 def _fixpoint_fingerprint() -> str:
@@ -165,8 +169,7 @@ class AnalysisTask:
     ``depends_on`` names other tasks (by ``task_id``) whose results must be
     available before this one runs; the engine hands them to the synthesizer
     (e.g. ExpLinSyn warm-starts from a Hoeffding certificate's state table).
-    ``cacheable=False`` opts fine-grained subtasks (eps-probe LPs) out of
-    the on-disk cache — their enclosing synthesis caches as a whole.
+    ``cacheable=False`` opts a task out of the on-disk cache.
 
     ``timeout`` is a per-task wall-clock deadline in seconds (``None``
     defers to the engine's default, ``0`` disables).  It is *execution

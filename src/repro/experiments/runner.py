@@ -51,7 +51,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--no-hoeffding",
         action="store_true",
-        help="skip the Section 5.1 algorithm (the slowest column)",
+        help="skip the Section 5.1 algorithm",
     )
     parser.add_argument(
         "--no-baseline", action="store_true", help="skip previous-work baselines"

@@ -13,16 +13,18 @@ The named-variable interface assembles the constraint matrix as sparse COO
 triplets while constraints stream in — no dense per-row Python lists — so
 LP *assembly* stays proportional to the number of nonzero coefficients and
 keeps pace with the HiGHS solve even on the large Farkas/Handelman systems
-(see ``PERFORMANCE.md``).
+(see ``PERFORMANCE.md``).  The CSR matrices are built once per system and
+reused by every solve that only changes the objective or pins one column
+(:meth:`LinearProgram.optimize`), as the Ser search does for ``eps``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 from scipy.sparse import csr_matrix
 
 from repro.errors import InfeasibleError, SolverError
@@ -38,11 +40,20 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
+    #: HiGHS's own result of an optimal solve, kept for sensitivity queries
+    highs: Optional[OptimizeResult] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         """True iff an optimal solution was found."""
         return self.status == "optimal"
+
+    def column_marginal(self, j: int) -> float:
+        """Sensitivity of the optimum to column ``j``'s bounds.  For a column
+        fixed at a value, this is the slope of the optimal value in that
+        value: a subgradient, which HiGHS may pick anywhere in the
+        subdifferential at a degenerate point."""
+        return float(self.highs.lower.marginals[j] + self.highs.upper.marginals[j])
 
 
 _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
@@ -104,7 +115,7 @@ def solve_lp(
         res = run("highs-ds")
         status = _STATUS.get(res.status, "error")
     if status == "optimal":
-        return LPResult("optimal", np.asarray(res.x, dtype=float), float(res.fun))
+        return LPResult("optimal", np.asarray(res.x, dtype=float), float(res.fun), res)
     if status in ("infeasible", "unbounded"):
         return LPResult(status)
     raise SolverError(f"linprog failed with status {res.status}: {res.message}")
@@ -136,7 +147,8 @@ class LinearProgram:
     the unknowns.  Variables are registered on first use; bounds can be set
     per variable (default: free).  Coefficients go straight into sparse
     triplets at ``add_*`` time; the original expressions are retained only
-    for :meth:`check_assignment` and labelled diagnostics.
+    for :meth:`check_assignment` and labelled diagnostics.  The assembled
+    matrices are cached until the next change to the system.
     """
 
     def __init__(self) -> None:
@@ -148,6 +160,7 @@ class LinearProgram:
         self._le_rows: List[Tuple[LinExpr, str]] = []
         self._eq_rows: List[Tuple[LinExpr, str]] = []
         self._objective: LinExpr = LinExpr.constant(0)
+        self._assembled: Optional[Tuple] = None
 
     # -- model building ---------------------------------------------------------
     def add_variable(
@@ -161,13 +174,16 @@ class LinearProgram:
             self._index[name] = len(self._index)
             self._lower[name] = lower
             self._upper[name] = upper
+            self._assembled = None
         else:
             if lower is not None:
                 cur = self._lower[name]
                 self._lower[name] = lower if cur is None else max(cur, lower)
+                self._assembled = None
             if upper is not None:
                 cur = self._upper[name]
                 self._upper[name] = upper if cur is None else min(cur, upper)
+                self._assembled = None
         return LinExpr.variable(name)
 
     def _register(self, expr: LinExpr) -> None:
@@ -176,6 +192,7 @@ class LinearProgram:
 
     def _append(self, block: _TripletBlock, expr: LinExpr) -> None:
         self._register(expr)
+        self._assembled = None
         row = len(block.rhs)
         index = self._index
         for name, coeff in expr.iter_coeffs():
@@ -223,6 +240,51 @@ class LinearProgram:
         return len(self._le_rows) + len(self._eq_rows)
 
     # -- solving ------------------------------------------------------------------
+    def column(self, name: str) -> int:
+        """The column index of variable ``name``."""
+        return self._index[name]
+
+    def _system(self) -> Tuple:
+        """``(a_ub, b_ub, a_eq, b_eq, bounds)``, assembled once per change."""
+        if self._assembled is None:
+            n = len(self._index)
+            bounds = [(self._lower[name], self._upper[name]) for name in self._index]
+            self._assembled = (
+                self._le.matrix(n),
+                self._le.rhs,
+                self._eq.matrix(n),
+                self._eq.rhs,
+                bounds,
+            )
+        return self._assembled
+
+    def optimize(
+        self, objective: LinExpr, fix: Optional[Tuple[str, float]] = None
+    ) -> LPResult:
+        """Minimize ``objective``; ``fix = (name, value)`` pins that column's
+        bounds to ``value`` for this solve only.
+
+        Every call reuses the assembled matrices, so a family of solves that
+        differ only in the objective or in one fixed column (a right-hand-side
+        parametric LP) pays for assembly once.  With ``fix``, the result's
+        :meth:`LPResult.column_marginal` at that column is the optimal
+        value's slope in ``value``.
+        """
+        self._register(objective)
+        a_ub, b_ub, a_eq, b_eq, bounds = self._system()
+        c = np.zeros(len(bounds))
+        for name, coeff in objective.iter_coeffs():
+            c[self._index[name]] = float(coeff)
+        if fix is not None:
+            name, value = fix
+            bounds = list(bounds)
+            bounds[self._index[name]] = (value, value)
+        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+    def assignment(self, x: np.ndarray) -> Dict[str, float]:
+        """A solution vector as ``{name: value}``."""
+        return {name: float(x[j]) for name, j in self._index.items()}
+
     def solve(self, minimize: Optional[LinExpr] = None) -> Dict[str, float]:
         """Solve; returns the optimal assignment as ``{name: value}``.
 
@@ -231,21 +293,12 @@ class LinearProgram:
         """
         if minimize is not None:
             self.set_objective(minimize)
-        n = len(self._index)
-        c = np.zeros(n)
-        for name, coeff in self._objective.iter_coeffs():
-            c[self._index[name]] = float(coeff)
-        a_ub = self._le.matrix(n)
-        a_eq = self._eq.matrix(n)
-        names = sorted(self._index, key=self._index.get)
-        bounds = [(self._lower[name], self._upper[name]) for name in names]
-        result = solve_lp(c, a_ub, self._le.rhs, a_eq, self._eq.rhs, bounds)
+        result = self.optimize(self._objective)
         if result.status == "infeasible":
             raise InfeasibleError("linear program is infeasible")
         if result.status == "unbounded":
             raise SolverError("linear program is unbounded")
-        values = {name: float(result.x[self._index[name]]) for name in names}
-        return values
+        return self.assignment(result.x)
 
     def feasible(self) -> bool:
         """True iff the constraint system admits some solution."""

@@ -150,8 +150,8 @@ class TestBenchWorkflow:
         assert "schedule" in triggers and "workflow_dispatch" in triggers
         assert "push" not in triggers
         # pull requests run the bench only when they touch the exploration
-        # layers or the §5.2 solve, and only through a paths filter (never
-        # the whole pull-request stream)
+        # layers, the §5.2 solve or the §5.1 Ser search, and only through a
+        # paths filter (never the whole pull-request stream)
         pr = triggers["pull_request"]
         assert isinstance(pr, dict) and pr.get("paths")
         assert "src/repro/core/fixpoint*.py" in pr["paths"]
@@ -159,6 +159,8 @@ class TestBenchWorkflow:
         assert "src/repro/pts/model.py" in pr["paths"]
         assert "src/repro/numeric/convex.py" in pr["paths"]
         assert "src/repro/core/explinsyn.py" in pr["paths"]
+        assert "src/repro/core/hoeffding.py" in pr["paths"]
+        assert "src/repro/numeric/ser.py" in pr["paths"]
 
     def test_bench_step_is_non_blocking_and_respects_gate_factor(self):
         data, _ = _load("bench.yml")

@@ -107,18 +107,6 @@ class TestSimulateExact:
 
 
 class TestAnalyzeEngineFlags:
-    def test_jobs_parallel_probes_match_serial(self, race_file, capsys):
-        assert main(["analyze", race_file, "--method", "hoeffding"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["analyze", race_file, "--method", "hoeffding", "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # identical bound, template and Ser trajectory; only the timing
-        # line may differ
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("  solved in")
-        ]
-        assert strip(serial) == strip(parallel)
-
     def test_cache_replays_analysis(self, race_file, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cache_dir = str(tmp_path / "cache")
@@ -132,7 +120,8 @@ class TestAnalyzeEngineFlags:
 
 class TestSharedEngineArgs:
     """The engine options ``analyze`` and the runner share: flags, then the
-    ``REPRO_*`` env fallbacks, then the engine defaults."""
+    ``REPRO_*`` env fallbacks, then the engine defaults.  ``--jobs`` is the
+    runner's alone."""
 
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
@@ -146,17 +135,34 @@ class TestSharedEngineArgs:
 
         return engine_from_args(build_parser().parse_args(["analyze", "p.prob", *flags]))
 
+    @staticmethod
+    def runner_engine(*flags):
+        import argparse
+
+        from repro.engine.args import add_engine_args, engine_from_args
+
+        parser = argparse.ArgumentParser()
+        add_engine_args(parser, jobs_help="workers")
+        return engine_from_args(parser.parse_args(list(flags)))
+
     def test_jobs_one_is_serial_without_fallbacks(self):
         from repro.engine import SerialScheduler
 
-        engine = self.engine("--jobs", "1")
+        engine = self.runner_engine("--jobs", "1")
         assert isinstance(engine.scheduler, SerialScheduler)
         assert engine._fallbacks == []
+
+    def test_analyze_runs_serially_without_a_jobs_flag(self):
+        from repro.engine import SerialScheduler
+
+        assert isinstance(self.engine().scheduler, SerialScheduler)
+        with pytest.raises(SystemExit):
+            self.engine("--jobs", "2")
 
     def test_jobs_two_is_a_pool_falling_back_to_serial(self):
         from repro.engine import ProcessPoolScheduler, SerialScheduler
 
-        with self.engine("--jobs", "2") as engine:
+        with self.runner_engine("--jobs", "2") as engine:
             assert isinstance(engine.scheduler, ProcessPoolScheduler)
             assert engine.scheduler.jobs == 2
             assert engine._fallbacks == [SerialScheduler]

@@ -375,24 +375,3 @@ class TestRetryDeterminism:
         engine.close()
         assert retried == baseline
         assert engine.degradation.count("retry") == 1
-
-    def test_probe_subtask_fault_retries_the_enclosing_synthesis(self):
-        # a transient on the eps-probe *subtasks* (":probe:" task ids)
-        # must propagate as infrastructure, retry the whole synthesis with
-        # attempt 1 threaded into the probe payloads, and converge to the
-        # serial bound
-        spec = ProgramSpec.from_source(RACE_SOURCE, name="chaos-race-pool")
-        task = AnalysisTask.make("hoeffding", spec, task_id="chaos/pool-race")
-        clean_engine = AnalysisEngine(SerialScheduler())
-        baseline = canon(clean_engine.run_inline(task))
-        clean_engine.close()
-
-        plan = FaultPlan([FaultRule("task.transient", match=":probe:", times=1)])
-        engine = AnalysisEngine(ProcessPoolScheduler(jobs=2))
-        with plan.installed():
-            try:
-                retried = canon(engine.run_inline(task))
-            finally:
-                engine.close()
-        assert retried == baseline
-        assert engine.degradation.count("retry") >= 1

@@ -1,5 +1,7 @@
 """Targeted tests for HoeffdingSynthesis internals (Section 5.1 / App. C.2)."""
 
+import math
+import re
 
 import pytest
 
@@ -89,3 +91,36 @@ class TestSamplingVariablesInC4:
         # non-trivial-or-trivial bound is acceptable here, but it must
         # dominate the true probability (~2e-6 by simulation)
         assert cert.bound >= 1e-6
+
+
+class TestExactSer:
+    """Ser over omega*'s linear pieces, against the ternary search it
+    replaced: 67 and 71 LPs, log10 bounds -6.083741867 and -525.7962072."""
+
+    @pytest.mark.parametrize(
+        "name,kwargs,ternary_log10",
+        [
+            ("Race", dict(x0=40, y0=0), -6.083741867),
+            ("3DWalk", dict(x0=100, y0=150, z0=200), -525.7962072),
+        ],
+    )
+    def test_few_lps_and_no_looser(self, name, kwargs, ternary_log10):
+        inst = get_benchmark(name, **kwargs)
+        cert = hoeffding_synthesis(inst.pts, inst.invariants)
+        lps = int(re.search(r"Ser: (\d+) LPs", cert.solver_info).group(1))
+        assert lps <= 8
+        log10 = cert.log_bound / math.log(10)
+        assert log10 <= ternary_log10 + 1e-9 * abs(ternary_log10)
+
+    def test_probe_task_solves_one_eps(self):
+        from repro.engine import AnalysisTask, ProgramSpec, execute_task
+
+        spec = ProgramSpec.benchmark("Race", x0=40, y0=0)
+        probe = execute_task(
+            AnalysisTask.make("hoeffding_probe", spec, params={"eps": "0.0"})
+        )
+        # Race(40,0): omega*(0) = -20.5, and omega* rises with slope 60
+        assert probe.ok
+        assert probe.details["omega"] == pytest.approx(-20.5, rel=1e-9)
+        assert probe.details["slope"] == pytest.approx(60.0, rel=1e-9)
+        assert probe.details["assignment"]["_eps"] == 0.0

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import InfeasibleError, SolverError
 from repro.numeric.convex import ConvexProgram
 from repro.numeric.lp import LinearProgram, solve_lp
-from repro.numeric.ser import ternary_search
+from repro.numeric import ser
+from repro.numeric.ser import sandwich_search
 from repro.polyhedra.linexpr import LinExpr, var
 from repro.pts.distributions import NormalDistribution, UniformDistribution
 
@@ -80,6 +81,29 @@ class TestLinearProgram:
         lp = LinearProgram()
         lp.add_le(var("x") - 1)
         assert lp.feasible()
+
+    def test_pinned_column_reports_the_slope(self):
+        # min w s.t. w >= 2e - 3, w >= 5e - 6: w*(e) has slopes 2 then 5,
+        # with its kink at e = 1
+        lp = LinearProgram()
+        lp.add_le(2 * var("e") - 3 - var("w"))
+        lp.add_le(5 * var("e") - 6 - var("w"))
+        for e, w, slope in ((0.5, -2.0, 2.0), (1.2, 0.0, 5.0)):
+            result = lp.optimize(var("w"), fix=("e", e))
+            assert result.objective == pytest.approx(w)
+            assert result.column_marginal(lp.column("e")) == pytest.approx(slope)
+            assert lp.assignment(result.x)["e"] == e
+
+    def test_system_assembled_once_until_it_changes(self):
+        lp = LinearProgram()
+        lp.add_le(var("x") * -1 + 2)
+        system = lp._system()
+        lp.optimize(var("x"), fix=("x", 3.0))
+        lp.optimize(-var("x"), fix=("x", 4.0))
+        assert lp._system() is system
+        lp.add_le(var("x") - 10)
+        assert lp._system() is not system
+        assert lp.solve(minimize=-var("x"))["x"] == pytest.approx(10.0)
 
 
 class TestConvexProgram:
@@ -212,33 +236,133 @@ class TestConvexProgram:
         assert sol.feasible and sol.objective == 0.0
 
 
+def linear_oracle(w0, slope, end=math.inf, slope_at=None):
+    """Oracle of ``omega(eps) = w0 + slope * eps``, infeasible past ``end``;
+    ``slope_at`` overrides the reported subgradient at chosen points."""
+    overrides = slope_at or {}
+
+    def oracle(eps):
+        if eps > end:
+            return None
+        return w0 + slope * eps, overrides.get(eps, slope), eps
+
+    return oracle
+
+
+def piecewise_oracle(knots, slopes, w_end, pick, counter):
+    """Oracle of the convex, nondecreasing piecewise-linear ``omega`` with
+    breakpoints ``knots`` (domain ends included), piece ``slopes`` and
+    ``omega(knots[-1]) = w_end``.  At an interior kink it reports the
+    left, right or a middle subgradient, as ``pick`` says."""
+    values = [w_end]
+    for i in reversed(range(len(slopes))):
+        values.insert(0, values[0] - slopes[i] * (knots[i + 1] - knots[i]))
+
+    def oracle(eps):
+        counter.append(eps)
+        i = max(j for j in range(len(slopes)) if knots[j] <= eps)
+        if 0 < i and eps == knots[i]:
+            left, right = slopes[i - 1], slopes[i]
+            slope = {"left": left, "right": right, "middle": 0.5 * (left + right)}[pick]
+            return values[i], slope, eps
+        return values[i] + slopes[i] * (eps - knots[i]), slopes[i], eps
+
+    return oracle, values
+
+
 class TestTernarySearch:
+    """Ser's exact search (``sandwich_search``, also bound as
+    ``ternary_search``, the name the perfbench tracer wraps) on oracles of
+    known shape; ``multiplier * eps * omega(eps)`` is minimized."""
+
     def test_quadratic_minimum(self):
-        result = ternary_search(lambda x: ((x - 3.0) ** 2, None), 0.0, 10.0, tol=1e-8)
-        assert result.eps == pytest.approx(3.0, abs=1e-4)
+        # omega = -6 + eps: the objective eps^2 - 6 eps has its vertex at 3
+        result = sandwich_search(linear_oracle(-6.0, 1.0), 0.0, 10.0)
+        assert result.eps == pytest.approx(3.0, rel=1e-12)
+        assert result.value == pytest.approx(-9.0, rel=1e-12)
+        assert result.evaluations == 3  # both ends, then the vertex
+        assert result.payload == result.eps
 
     def test_keeps_best_on_infeasible_tail(self):
-        def f(x):
-            if x > 5.0:
-                return float("inf"), None
-            return -x, x
-
-        result = ternary_search(f, 0.0, 10.0, tol=1e-6)
-        assert result.value <= -4.9
+        # omega is constant, so the optimum lands at eps_max = 5, past which
+        # the oracle is infeasible; the search bisects back to it from 10
+        result = sandwich_search(linear_oracle(-1.0, 0.0, end=5.0), 0.0, 10.0, 8.0)
         assert result.found
+        assert result.eps == pytest.approx(5.0, rel=1e-8)
+        assert result.value == pytest.approx(-40.0, rel=1e-8)
 
     def test_all_infeasible(self):
-        result = ternary_search(lambda x: (float("inf"), None), 0.0, 1.0)
-        assert not result.found
+        result = sandwich_search(lambda eps: None, 0.0, 1.0)
+        assert not result.found and result.payload is None
+        assert result.evaluations == 1
 
     def test_boundary_minimum(self):
-        result = ternary_search(lambda x: (x, x), 2.0, 9.0, tol=1e-9)
-        assert result.eps == pytest.approx(2.0, abs=1e-5)
+        # omega = -4 + 2 eps on [1, 2]: the vertex of 2 eps^2 - 4 eps is at 1
+        result = sandwich_search(linear_oracle(-4.0, 2.0), 1.0, 2.0)
+        assert result.eps == 1.0
+        assert result.evaluations == 2
 
     @settings(max_examples=20, deadline=None)
     @given(center=st.floats(min_value=0.5, max_value=9.5))
     def test_unimodal_random_center(self, center):
-        result = ternary_search(
-            lambda x: (abs(x - center), None), 0.0, 10.0, tol=1e-7
+        result = sandwich_search(linear_oracle(-2.0 * center, 1.0), 0.0, 10.0)
+        assert result.eps == pytest.approx(center, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        pieces=st.integers(min_value=1, max_value=4),
+        eps_max=st.floats(min_value=1e-3, max_value=1e4),
+        w_end=st.floats(min_value=-1e3, max_value=0.0),
+        first_slope=st.floats(min_value=0.0, max_value=10.0),
+        pick=st.sampled_from(["left", "right", "middle"]),
+    )
+    def test_exact_on_random_piecewise_linear_omega(
+        self, data, pieces, eps_max, w_end, first_slope, pick
+    ):
+        cuts = data.draw(
+            st.lists(
+                st.floats(min_value=0.01, max_value=0.99),
+                min_size=pieces - 1,
+                max_size=pieces - 1,
+                unique=True,
+            )
         )
-        assert result.eps == pytest.approx(center, abs=1e-3)
+        rises = data.draw(
+            st.lists(
+                st.floats(min_value=1e-3, max_value=100.0),
+                min_size=pieces - 1,
+                max_size=pieces - 1,
+            )
+        )
+        knots = [0.0] + sorted(eps_max * c for c in cuts) + [eps_max]
+        slopes = [first_slope]
+        for rise in rises:
+            slopes.append(slopes[-1] + rise)
+        calls = []
+        oracle, values = piecewise_oracle(knots, slopes, w_end, pick, calls)
+
+        # brute force: every breakpoint and every piece's vertex
+        candidates = [8.0 * e * w for e, w in zip(knots, values)]
+        for l, r, w, s in zip(knots, knots[1:], values, slopes):
+            v = 0.5 * (l - w / s) if s > 0 else l
+            if l < v < r:
+                candidates.append(8.0 * v * (w + s * (v - l)))
+        best = min(candidates)
+
+        result = sandwich_search(oracle, 0.0, eps_max, 8.0)
+        assert result.value == pytest.approx(best, rel=1e-12, abs=1e-300)
+        assert result.evaluations == len(calls) <= 2 * pieces + 1
+
+    def test_degenerate_subgradient_at_the_left_end(self):
+        # Robot(d=1.8)'s shape: omega = -18 + 61 eps, but the LP reports
+        # slope 60 at eps = 0; the right end's tangent proves one piece
+        eps_max = 18.0 / 61.0
+        oracle = linear_oracle(-18.0, 61.0, slope_at={0.0: 60.0})
+        result = sandwich_search(oracle, 0.0, eps_max, 8.0)
+        assert result.evaluations == 3
+        assert result.eps == pytest.approx(9.0 / 61.0, rel=1e-12)
+        assert result.value == pytest.approx(-648.0 / 61.0, rel=1e-12)
+
+    def test_tracer_binding_is_the_search(self):
+        assert ser.ternary_search is ser.sandwich_search

@@ -126,17 +126,19 @@ class TestHandelman:
 
 
 class TestPolynomialSynthesis:
-    def test_race_matches_affine(self):
+    # x0 = 35 once came back vacuous: the eps bracket grew past the feasible
+    # range and the ternary search walked away from it
+    @pytest.mark.parametrize("x0", [35, 40])
+    def test_race_matches_affine(self, x0):
         from repro.core import hoeffding_synthesis
         from repro.programs import get_benchmark
 
-        inst = get_benchmark("Race", x0=40, y0=0)
+        inst = get_benchmark("Race", x0=x0, y0=0)
         poly = polynomial_hoeffding_synthesis(
             inst.pts, inst.invariants, degree=2, verify=True
         )
         affine = hoeffding_synthesis(inst.pts, inst.invariants)
-        # degree-2 templates are a superset: at least as tight (small slack
-        # allowed for the coarser eps search)
+        # degree-2 templates are a superset: at least as tight
         assert poly.log_bound <= affine.log_bound + 0.5
         assert poly.method == "polynomial-hoeffding"
         assert "Handelman" in poly.solver_info
