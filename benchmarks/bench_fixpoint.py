@@ -2,11 +2,11 @@
 
 Times both engines on the workload shapes that stress different paths — a
 tiny chain (call overhead), an iteration-heavy slow-mixing chain,
-state-heavy truncated walks (large CSR sweeps and the int64 frontier
-explorer), the fractional Table 1 shapes riding the scaled-lattice
-fixed-point explorer, and the slow-mixing gambler-N ladder exercising the
-certified direct solve — asserting
-bracket agreement and recording every entry to ``BENCH_fixpoint.json``
+state-heavy truncated walks (large CSR sweeps and the lattice frontier
+explorer at scale 1), the fractional Table 1 shapes riding the same
+explorer on their fixed-point lattices, and the slow-mixing gambler-N
+ladder exercising the certified direct solve — asserting bracket
+agreement and recording every entry to ``BENCH_fixpoint.json``
 through the session recorder in ``conftest.py``.  The ladder workloads
 skip the reference engine (pure-Python sweeps would take minutes to
 hours) and are validated against the analytic violation probability
@@ -96,7 +96,7 @@ def test_sparse_engine_vs_reference(name, fixpoint_recorder, benchmark):
     build_seconds = time.perf_counter() - start
     sparse_seconds = build_seconds + vi_seconds
 
-    # exploration phase alone: the int64 frontier path vs the Fraction BFS
+    # exploration phase alone: the lattice frontier path vs the Fraction BFS
     explore_fields = explore_timings(pts, max_states)
 
     entry = {

@@ -14,7 +14,7 @@ from repro.lang import compile_source, parse_program
 from repro.numeric.lp import LinearProgram
 from repro.polyhedra import Polyhedron, polyhedron_generators
 from repro.polyhedra.linexpr import LinExpr
-from repro.core import generate_interval_invariants, generate_zone_invariants, value_iteration
+from repro.core import generate_interval_invariants, value_iteration
 
 RACE = """
 x := 40
@@ -77,12 +77,6 @@ def test_bench_lp_medium(benchmark):
 def test_bench_interval_invariants(benchmark):
     pts = compile_source(RACE, name="race").pts
     inv = benchmark(lambda: generate_interval_invariants(pts))
-    assert inv.of(pts.init_location).inequalities
-
-
-def test_bench_zone_invariants(benchmark):
-    pts = compile_source(RACE, name="race").pts
-    inv = benchmark(lambda: generate_zone_invariants(pts))
     assert inv.of(pts.init_location).inequalities
 
 

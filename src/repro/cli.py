@@ -274,7 +274,7 @@ def _cmd_bench(args) -> int:
             source, name=name, integer_mode=integer_mode and not args.real_valued
         ).pts
 
-        # exploration phase alone, so the int64-vs-Fraction BFS win is
+        # exploration phase alone, so the lattice-vs-Fraction BFS win is
         # visible separately from the value-iteration sweeps; the Fraction
         # comparison is exactly the slow path --skip-reference opts out of
         explore_fields = explore_timings(
@@ -509,12 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--max-states", type=int, default=200_000)
     p_exact.add_argument(
         "--explore",
-        choices=["auto", "int64", "scaled", "fraction"],
+        choices=["auto", "scaled", "fraction"],
         default="auto",
-        help="exploration engine: int64 frontier batches on integer-lattice "
-        "programs, the same engine in fixed-point coordinates (scaled) on "
-        "admissible fractional ones, exact Fraction interning otherwise "
-        "(default: auto picks among all three)",
+        help="exploration engine: frontier batches on the program's "
+        "fixed-point lattice (scaled; scale 1 on integer programs), or exact "
+        "Fraction interning (fraction); default auto takes the lattice "
+        "engine where admitted and where batching pays off",
     )
     p_exact.add_argument(
         "--solver",
@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--explore",
-        choices=["auto", "int64", "scaled", "fraction"],
+        choices=["auto", "scaled", "fraction"],
         default="auto",
         help="exploration engine to benchmark (default: auto)",
     )

@@ -5,7 +5,7 @@ per synthesis family — §5.1 Hoeffding/RepRSM (:func:`hoeffding_synthesis`),
 §5.2 ExpLinSyn (:func:`exp_lin_syn`), §6 ExpLowSyn (:func:`exp_low_syn`)
 and polynomial lower bounds — plus invariant generation, termination
 proofs, prior-work baselines, and the ground-truth fixpoint engine
-(:func:`value_iteration` / :func:`exact_vpf`) with its int64
+(:func:`value_iteration` / :func:`exact_vpf`) with its lattice
 frontier-batch exploration fast path, its one CSR sweep kernel with the
 certified direct solve, and per-run translation-validation certificates
 (:mod:`repro.core.runcert`: :func:`emit_run_certificate` /
@@ -22,7 +22,6 @@ semantics; the vectorized engines are implementations of it.
 """
 
 from repro.core.invariants import InvariantMap, generate_interval_invariants
-from repro.core.zones import Zone, generate_zone_invariants
 from repro.core.concentration import with_step_counter, concentration_bound
 from repro.core.polynomial_lower import PolynomialLowerBound, polynomial_exp_low_syn
 from repro.core.templates import ExpTemplate, ExpStateFunction
@@ -70,8 +69,6 @@ from repro.core.baselines import (
 __all__ = [
     "InvariantMap",
     "generate_interval_invariants",
-    "Zone",
-    "generate_zone_invariants",
     "with_step_counter",
     "concentration_bound",
     "PolynomialLowerBound",

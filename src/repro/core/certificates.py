@@ -130,16 +130,6 @@ class RepRSMData:
     beta: float
     delta: float = 1.0
 
-    @property
-    def hoeffding_factor(self) -> float:
-        """The exponent multiplier ``8 eps / delta^2`` of Theorem 5.1."""
-        return 8.0 * self.eps / (self.delta * self.delta)
-
-    @property
-    def azuma_factor(self) -> float:
-        """The multiplier ``4 eps / delta^2`` of the [CNZ17] bound (Remark 2)."""
-        return 4.0 * self.eps / (self.delta * self.delta)
-
 
 @dataclass
 class _CheckReport:

@@ -19,39 +19,34 @@ bracket remains rigorous.
 Engine architecture (see ``PERFORMANCE.md`` and ``docs/ARCHITECTURE.md``)
 -------------------------------------------------------------------------
 
-Exploration runs on one of three interchangeable engines producing
+Exploration runs on one of two interchangeable engines producing
 *bit-identical* models:
 
-* **int64 frontier batches** (the fast path, ``explore="int64"``): when the
-  PTS lives on the integer lattice (:meth:`repro.pts.PTS.integrality`),
-  guards compile to stacked integer inequality matrices and fork/draw
-  updates to ``int64`` affine maps, and the BFS advances a whole frontier
-  per step — successor batches are computed as matrix products, deduplicated
-  through a void-view (``V``-dtype) hash of the raw state bytes instead of
-  per-state tuple interning, and admitted in exactly the sequential
-  discovery order, so state indices, truncation cuts and COO triplet order
-  match the scalar engine bit for bit.  Integer arithmetic is exact;
-  coefficient-magnitude admission checks guarantee the reference engine's
-  float guard evaluation is exact on every in-range state, and any state
-  value beyond ``2**31`` aborts the batch and falls back to the exact path.
-* **scaled-lattice int64 frontier batches** (``explore="scaled"``): the
-  same frontier engine re-lowered onto a *fixed-point* lattice.  When a
-  non-integral PTS admits per-variable denominator LCMs ``s_v``
-  (:attr:`IntegralityReport.scale <repro.pts.IntegralityReport>`), the BFS
-  explores the rescaled integers ``s_v * v`` — guards and affine steppers
-  are rescaled exactly at plan-compile time (each guard row multiplied by
-  its own positive integer so coefficients stay integral) — and the lazy
-  ``index`` descales back to the exact rationals.  The translation is
-  validated by construction: per-row admission checks bound both the
-  reference engine's float guard-evaluation error and the lattice gap
-  ``1/m`` of the exact guard value, so the scaled integer decision
-  ``<= 0`` coincides with the reference's float ``<= 1e-9`` decision on
-  every in-range state (see ``_scaled_guard_row``), keeping the
-  sequential-discovery-order bit-identity contract intact.
+* **lattice frontier batches** (the fast path, ``explore="scaled"``):
+  when the PTS lives on a fixed-point lattice — per-variable denominator
+  LCMs ``s_v`` (:attr:`IntegralityReport.scale
+  <repro.pts.IntegralityReport>`, all ones on the integer lattice) — the
+  BFS explores the rescaled integers ``s_v * v``.  Guards compile to
+  stacked integer inequality matrices (each row multiplied by its own
+  positive integer so coefficients stay integral) and fork/draw updates
+  to ``int64`` affine maps, and the BFS advances a whole frontier per
+  step — successor batches are computed as matrix products, deduplicated
+  through a void-view (``V``-dtype) hash of the raw state bytes instead
+  of per-state tuple interning, and admitted in exactly the sequential
+  discovery order, so state indices, truncation cuts and COO triplet
+  order match the scalar engine bit for bit; the lazy ``index`` descales
+  back to the exact rationals.  The translation is validated by
+  construction: one per-row admission rule (``_guard_row``) makes the
+  integer decision ``<= 0`` coincide with the reference engine's float
+  ``<= 1e-9`` decision on every in-range state, and any state beyond its
+  per-variable limit aborts the batch and falls back to the exact path.
+  Models are labelled ``"int64"`` on an integer-lattice PTS (limits
+  ``2**31``) and ``"scaled-int64"`` otherwise (limits
+  ``min(2**31, s_v * 2**15)``).
 * **scalar Fraction interning** (``explore="fraction"``): the original
   state-interning BFS whose per-location transition logic is *compiled* —
   guards become float predicates and fork/draw updates become
-  tuple-to-tuple stepper functions — handling non-integer lattices and
+  tuple-to-tuple stepper functions — handling non-lattice systems and
   arbitrary magnitudes with exact rational arithmetic.
 
 Both emit COO triplets ``(state, successor, probability)`` plus
@@ -80,7 +75,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -120,34 +115,40 @@ State = Tuple[str, Tuple[Fraction, ...]]
 #: v4: one value-iteration kernel — CSR Jacobi sweeps on every model (the
 #: dense exact-Gauss-Seidel operator of small models is gone), which
 #: changes sweep counts and last-ulp brackets below 2048 states
-FIXPOINT_FINGERPRINT = "scaled-int64-frontier.csr-jacobi.v4"
+#: v5: one lattice lowering — int64 is the scale-1 case of the scaled
+#: plan, and exact guard rows of fractional PTSs are admitted (and their
+#: headroom recorded) against 2**52 instead of the gap rule
+FIXPOINT_FINGERPRINT = "scaled-int64-frontier.csr-jacobi.v5"
 
-#: state values beyond this abort the int64 frontier BFS (fallback to the
-#: exact Fraction path); chosen so that every guard/update product stays
-#: well inside int64 *and* the reference engine's float evaluation of
-#: integer-valued guards is provably exact (see `_compile_int_plan`)
+#: per-variable scaled-magnitude limit of every admitted state on an
+#: integer-lattice PTS (the cap of every limit otherwise); states beyond
+#: their limit abort the frontier BFS (fallback to the exact Fraction
+#: path).  Chosen so that every guard/update product stays well inside
+#: int64 *and* exact guard rows evaluate exactly in float (see `_guard_row`)
 _INT_VALUE_LIMIT = 2**31
 
-#: admission bound for guard rows: sum(|coeff|) * _INT_VALUE_LIMIT + |const|
-#: must stay below 2**52 so float products/partial sums of in-range states
-#: are exact — this is what makes int64 guard decisions *identical* to the
-#: reference's float-with-1e-9-tolerance decisions on integer lattices
+#: admission bound for exact guard rows (see `_guard_row`):
+#: sum(|a_j| * limit_j) + |c| must stay below 2**52 so the reference's
+#: float products and partial sums of in-range states are exact — this
+#: is what makes such a row's integer decision *identical* to the
+#: reference's float-with-1e-9-tolerance decision
 _INT_GUARD_MAGNITUDE = 2**52
 
-#: admission bound for update rows: results only need to not overflow int64
-#: before the per-batch range check (updates are exact in all engines)
+#: admission bound for update rows and gap-rule guard rows: results only
+#: need to not overflow int64 before the per-batch range check (updates
+#: are exact in all engines)
 _INT_STEP_MAGNITUDE = 2**62
 
-#: per-variable *real-coordinate* magnitude limit of the scaled-lattice
-#: engine: scaled values are range-checked against
-#: ``min(2**31, s_v * 2**15)``, i.e. descaled magnitudes stay below 2**15.
-#: Together with `_SCALED_GUARD_SLACK` this is what bounds the reference
-#: engine's float guard-evaluation error on fractional states (scaled
-#: guard decisions are exact integers, the reference's are floats with a
-#: 1e-9 tolerance — see `_scaled_guard_row` for the agreement argument)
+#: per-variable *real-coordinate* magnitude limit on a fractional PTS:
+#: scaled values are range-checked against ``min(2**31, s_v * 2**15)``,
+#: i.e. descaled magnitudes stay below 2**15.  Together with
+#: `_SCALED_GUARD_SLACK` this is what bounds the reference engine's float
+#: guard-evaluation error on fractional states (lattice guard decisions
+#: are exact integers, the reference's are floats with a 1e-9 tolerance —
+#: see `_guard_row` for the agreement argument)
 _SCALED_REAL_LIMIT = 2**15
 
-#: cap on a scaled guard row's clearing multiplier ``m``: the exact guard
+#: cap on a gap-rule guard row's clearing multiplier ``m``: the exact guard
 #: value at any lattice state is a multiple of ``1/m``, so a nonzero value
 #: is at least ``1/m >= 2e-9`` — comfortably past the reference's 1e-9
 #: float tolerance even after the worst admissible evaluation error
@@ -161,7 +162,7 @@ _SCALED_GUARD_SLACK = 5e-10
 #: unit roundoff of IEEE double arithmetic
 _FLOAT_ULP = 2.0**-53
 
-_EXPLORE_MODES = ("auto", "int64", "scaled", "fraction")
+_EXPLORE_MODES = ("auto", "scaled", "fraction")
 
 #: thin-frontier bailout (``explore="auto"`` only): after this many BFS
 #: levels, a run averaging fewer than ``_THIN_MIN_WIDTH`` states per level
@@ -173,12 +174,12 @@ _THIN_MIN_WIDTH = 8
 #: tiny-model bailout (``explore="auto"`` only): a fully explored model
 #: below this many states re-runs on the scalar Fraction engine — per-batch
 #: numpy setup costs more than the whole scalar BFS on such models (the
-#: 13-state gambler measured a 0.29x "speedup" under int64 batching)
+#: 13-state gambler measured a 0.29x "speedup" under lattice batching)
 _TINY_MODEL_STATES = 256
 
 
 class _IntOverflow(Exception):
-    """Internal: a frontier batch left the admissible int64 range."""
+    """Internal: a frontier batch left the admitted per-variable range."""
 
 
 class _ThinFrontier(Exception):
@@ -343,7 +344,7 @@ def _compile_plan(pts: PTS):
 
 
 # ---------------------------------------------------------------------------
-# int64 lattice compilation: guards -> stacked inequality matrices,
+# lattice compilation: guards -> stacked integer inequality matrices,
 # fork/draw updates -> int64 affine maps
 # ---------------------------------------------------------------------------
 
@@ -372,158 +373,173 @@ class _IntPlan:
     """A compiled frontier-batch exploration plan plus its lattice.
 
     ``scale[j]`` is the fixed-point denominator of program variable ``j``
-    (all ones on the plain integer lattice, ``scaled = False``); state
-    vectors inside the BFS hold ``scale * value``.  ``limits[j]`` is the
-    per-variable magnitude bound in *scaled* coordinates that every
-    admitted state must satisfy — ``2**31`` on the integer lattice,
-    ``min(2**31, scale[j] * 2**15)`` on scaled ones.  ``admission`` is
-    the run-certificate record of the bounds actually used — every guard
-    row (with its clearing multiplier and overflow headroom) and every
-    stepper's headroom, in transition order; an independent checker
+    (all ones on an integer-lattice PTS); state vectors inside the BFS
+    hold ``scale * value``.  ``limits[j]`` is the per-variable magnitude
+    bound in *scaled* coordinates that every admitted state must satisfy:
+    ``2**31`` on an integer-lattice PTS, ``min(2**31, scale[j] * 2**15)``
+    otherwise.  ``admission`` is the run-certificate record of the bounds
+    actually used — the ``lattice`` tag naming that limits rule, every
+    guard row (with its clearing multiplier and overflow headroom) and
+    every stepper's headroom, in transition order; an independent checker
     re-derives the same record from the PTS (see
     :mod:`repro.core.runcert`).
     """
 
-    __slots__ = ("by_loc", "scale", "limits", "scaled", "admission")
+    __slots__ = ("by_loc", "scale", "limits", "admission")
 
-    def __init__(self, by_loc, scale, limits, scaled, admission):
+    def __init__(self, by_loc, scale, limits, admission):
         self.by_loc = by_loc
         self.scale = scale
         self.limits = limits
-        self.scaled = scaled
         self.admission = admission
 
 
-def _scaled_guard_row(
-    expr, var_index: Dict[str, int], scale: List[int], limits: List[int]
-) -> Optional[Tuple[List[int], int, int]]:
-    """Rescale one guard inequality onto the fixed-point lattice, or
-    ``None`` when it is inadmissible.
+def _guard_row(expr, var_index, scale, limits, ti: int, k: int) -> Optional[Dict]:
+    """Lower guard inequality ``k`` of transition ``ti`` onto the lattice
+    as its admission entry (row, const, clearing multiplier ``m`` and
+    headroom), or ``None`` when it is inadmissible.
 
     The exact row ``sum(a_j * x_j) + c <= 0`` becomes
     ``sum((m * a_j / s_j) * (s_j * x_j)) + m * c <= 0`` for the smallest
     positive integer ``m`` clearing every denominator — sign-preserving,
     so the decision is unchanged.  Admission enforces the
-    translation-validation argument that the *exact* integer decision
-    equals the reference engine's ``float <= 1e-9`` decision at every
-    in-range lattice state:
+    translation-validation argument that this integer decision equals the
+    reference engine's ``float <= 1e-9`` decision at every in-range
+    lattice state, where ``V_j = limits[j] / s_j`` bounds ``|x_j|``:
 
-    * ``m <= 5e8``: the exact guard value is a multiple of ``1/m``, so a
-      nonzero value is at least ``2e-9``;
-    * the reference's float evaluation error is below ``5e-10``: with
-      ``nt`` coefficient terms evaluated in reference order, the absolute
-      error is at most ``(nt + 4) * u * (|c| + sum |a_j| * V_j)`` for unit
-      roundoff ``u = 2**-53`` and per-variable real magnitude limits
-      ``V_j = limits[j] / s_j`` (each input is correctly rounded, each
-      product adds ~3u relative error, each partial sum one more);
+    * an *exact* row (``m = 1``, every variable of the row on scale 1)
+      has integer coefficients over integer values, so when
+      ``sum(|a_j| * V_j) + |c| < 2**52`` every float product and partial
+      sum the reference forms is an exactly representable integer;
+    * every other row needs a gap: with ``m <= 5e8`` a nonzero exact
+      value is at least ``1/m >= 2e-9``, while the reference's float
+      error is at most ``(nt + 4) * u * (|c| + sum |a_j| * V_j) <= 5e-10``
+      for ``nt`` terms and unit roundoff ``u = 2**-53`` (each input is
+      correctly rounded, each product adds ~3u relative error, each
+      partial sum one more).  So exact ``<= 0`` implies float
+      ``<= 5e-10 < 1e-9``, and exact ``> 0`` implies float
+      ``>= 2e-9 - 5e-10 > 1e-9``.  The lowered row must also stay below
+      ``2**62`` so the batched dot products cannot wrap.
 
-    hence exact ``<= 0`` implies float ``<= 5e-10 < 1e-9``, and exact
-    ``> 0`` implies float ``>= 2e-9 - 5e-10 > 1e-9``.  The rescaled
-    int64 row additionally stays below ``2**62`` so the batched integer
-    dot products cannot wrap.
+    ``headroom`` is the margin of ``sum(|row_j| * limits[j]) + |m * c|``
+    below the bound that applied (``2**52`` or ``2**62``).
     """
-    nv = len(scale)
     terms = [(var_index[name], Fraction(coeff)) for name, coeff in expr.iter_coeffs()]
     const = Fraction(expr.const)
     mult = const.denominator
-    rescaled = []
     for j, coeff in terms:
-        q = coeff / scale[j]
-        rescaled.append((j, q))
-        mult = mult * q.denominator // gcd(mult, q.denominator)
-    if mult > _SCALED_GAP_LIMIT:
-        return None
-    row = [0] * nv
-    for j, q in rescaled:
-        row[j] = int(q * mult)
+        mult = lcm(mult, (coeff / scale[j]).denominator)
+    exact = mult == 1 and all(scale[j] == 1 for j, _ in terms)
+    if not exact:
+        if mult > _SCALED_GAP_LIMIT:
+            return None
+        magnitude = abs(float(const)) + sum(
+            abs(float(coeff)) * (limits[j] / scale[j]) for j, coeff in terms
+        )
+        if (len(terms) + 4) * _FLOAT_ULP * magnitude > _SCALED_GUARD_SLACK:
+            return None
+    row = [0] * len(scale)
+    for j, coeff in terms:
+        row[j] = int(coeff / scale[j] * mult)
     c = int(const * mult)
-    if sum(abs(row[j]) * limits[j] for j in range(nv)) + abs(c) >= _INT_STEP_MAGNITUDE:
+    bound = _INT_GUARD_MAGNITUDE if exact else _INT_STEP_MAGNITUDE
+    magnitude = sum(abs(a) * limit for a, limit in zip(row, limits)) + abs(c)
+    if magnitude >= bound:
         return None
-    magnitude = abs(float(const)) + sum(
-        abs(float(coeff)) * (limits[j] / scale[j]) for j, coeff in terms
-    )
-    if (len(terms) + 4) * _FLOAT_ULP * magnitude > _SCALED_GUARD_SLACK:
-        return None
-    return row, c, mult
+    return {
+        "transition": ti,
+        "ineq": k,
+        "mult": mult,
+        "row": row,
+        "const": c,
+        "headroom": bound - magnitude,
+    }
 
 
-def _compile_int_plan(pts: PTS, allow_scaled: bool = False) -> Optional[_IntPlan]:
-    """Compile the int64 exploration plan, or ``None`` when inadmissible.
+def _step_rows(update, draw, program_vars, var_index, scale, limits):
+    """Lower one fork/draw update onto the lattice as ``(A, c, headroom)``
+    with ``succ = values @ A.T + c``, or ``None`` when inadmissible.
 
-    On the plain integer lattice (:meth:`PTS.integrality`), admission
-    requires magnitude bounds: guard rows must satisfy
-    ``sum(|coeff|) * 2**31 + |const| < 2**52`` — which simultaneously rules
-    out int64 overflow and makes the reference engine's float evaluation of
-    the (integer-valued) guard expression exact on every in-range state, so
-    ``exact <= 0`` and ``float <= 1e-9`` are the same decision — and update
-    rows must stay below ``2**62`` so successor products cannot wrap before
-    the per-batch range check.
+    Row ``v`` maps scaled values to ``s_v * x_v'`` through
+    ``A[v, j] = s_v * a_vj / s_j`` and ``c_v = s_v * e_v`` (the draw
+    folded into ``e_v``), integral by the report's divisibility fixpoint.
+    Each row must stay below ``2**62`` at the per-variable limits so
+    successor products cannot wrap before the per-batch range check;
+    identity rows skip that check but count toward the headroom.
+    """
+    nv = len(program_vars)
+    a_mat = np.zeros((nv, nv), dtype=np.int64)
+    c_vec = np.zeros(nv, dtype=np.int64)
+    worst = 0
+    for vi, v in enumerate(program_vars):
+        expr = update.assignments.get(v)
+        if expr is None:
+            a_mat[vi, vi] = 1
+            worst = max(worst, limits[vi])
+            continue
+        row = [0] * nv
+        const = Fraction(expr.const)
+        for name, coeff in expr.iter_coeffs():
+            if name in draw:
+                const += coeff * draw[name]
+                continue
+            j = var_index[name]
+            q = Fraction(coeff) * scale[vi] / scale[j]
+            if q.denominator != 1:  # pragma: no cover - the report's divisibility fixpoint
+                return None
+            row[j] = int(q)
+        const *= scale[vi]
+        if const.denominator != 1:  # pragma: no cover - likewise
+            return None
+        magnitude = sum(abs(a) * limit for a, limit in zip(row, limits)) + abs(int(const))
+        if magnitude >= _INT_STEP_MAGNITUDE:
+            return None
+        worst = max(worst, magnitude)
+        a_mat[vi] = row
+        c_vec[vi] = int(const)
+    return a_mat, c_vec, _INT_STEP_MAGNITUDE - worst
 
-    With ``allow_scaled``, non-integral systems whose report carries
-    per-variable fixed-point denominators are re-lowered onto the scaled
-    lattice instead: guard rows via :func:`_scaled_guard_row` (which owns
-    the float-agreement argument), steppers via exact rescaling
-    ``A'[v, j] = s_v * A[v, j] / s_j`` / ``c'_v = s_v * c_v`` (integral by
-    the report's divisibility fixpoint).
+
+def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
+    """Compile the lattice exploration plan, or ``None`` when inadmissible.
+
+    The lattice is the report's per-variable scale (:meth:`PTS.integrality`,
+    all ones on an integer-lattice PTS), and the per-variable limits are
+    ``2**31`` on an integer-lattice PTS and ``min(2**31, s_v * 2**15)``
+    otherwise — the ``lattice`` tag (``"int64"``/``"scaled"``) of the
+    admission record names which.  Guard rows lower through
+    :func:`_guard_row` (which owns the float-agreement argument), steppers
+    through :func:`_step_rows`.
     """
     report = pts.integrality()
-    if report.integral:
-        scaled = False
-    elif allow_scaled and report.scale is not None:
-        scaled = True
-    else:
+    if report.scale is None:
         return None
     program_vars = pts.program_vars
     nv = len(program_vars)
     var_index = {v: i for i, v in enumerate(program_vars)}
     loc_id = {name: i for i, name in enumerate(pts.locations)}
     draw_list = _draw_list(pts)
-    scale = [int(s) for s in (report.scale or (1,) * nv)]
-    if scaled:
-        limits = [min(_INT_VALUE_LIMIT, s * _SCALED_REAL_LIMIT) for s in scale]
+    scale = [int(s) for s in report.scale]
+    if report.integral:
+        lattice, limits = "int64", [_INT_VALUE_LIMIT] * nv
     else:
-        limits = [_INT_VALUE_LIMIT] * nv
+        lattice = "scaled"
+        limits = [min(_INT_VALUE_LIMIT, s * _SCALED_REAL_LIMIT) for s in scale]
 
     guard_entries: List[Dict] = []
     step_entries: List[Dict] = []
     rows_by_loc: Dict[int, List[Tuple]] = {}
-    step_cache: Dict[Tuple[int, int], Tuple[Tuple[np.ndarray, np.ndarray], int]] = {}
+    step_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, int]] = {}
     for ti, t in enumerate(pts.transitions):
         guard_rows: List[List[int]] = []
         guard_consts: List[int] = []
         for k, ineq in enumerate(t.guard.inequalities):
-            expr = ineq.expr
-            if scaled:
-                compiled_row = _scaled_guard_row(expr, var_index, scale, limits)
-                if compiled_row is None:
-                    return None
-                row, const, mult = compiled_row
-                magnitude = sum(
-                    abs(row[j]) * limits[j] for j in range(nv)
-                ) + abs(const)
-                headroom = _INT_STEP_MAGNITUDE - magnitude
-            else:
-                row = [0] * nv
-                for name, coeff in expr.iter_coeffs():
-                    row[var_index[name]] = int(coeff)
-                const = int(expr.const)
-                mult = 1
-                magnitude = sum(abs(a) for a in row) * _INT_VALUE_LIMIT + abs(const)
-                if magnitude >= _INT_GUARD_MAGNITUDE:
-                    return None
-                headroom = _INT_GUARD_MAGNITUDE - magnitude
-            guard_entries.append(
-                {
-                    "transition": ti,
-                    "ineq": k,
-                    "mult": int(mult),
-                    "row": list(row),
-                    "const": int(const),
-                    "headroom": int(headroom),
-                }
-            )
-            guard_rows.append(row)
-            guard_consts.append(const)
+            entry = _guard_row(ineq.expr, var_index, scale, limits, ti, k)
+            if entry is None:
+                return None
+            guard_entries.append(entry)
+            guard_rows.append(entry["row"])
+            guard_consts.append(entry["const"])
         steppers: List[Tuple[float, int, np.ndarray, np.ndarray]] = []
         for fi, fork in enumerate(t.forks):
             p_fork = float(fork.probability)
@@ -532,74 +548,23 @@ def _compile_int_plan(pts: PTS, allow_scaled: bool = False) -> Optional[_IntPlan
                 key = (id(fork.update), d_idx)
                 cached = step_cache.get(key)
                 if cached is None:
-                    a_rows: List[List[int]] = []
-                    c_row: List[int] = []
-                    worst = 0
-                    for vi, v in enumerate(program_vars):
-                        expr = fork.update.assignments.get(v)
-                        if expr is None:
-                            row = [0] * nv
-                            row[var_index[v]] = 1
-                            a_rows.append(row)
-                            c_row.append(0)
-                            # identity rows skip the admission check but
-                            # still count toward the recorded headroom
-                            worst = max(worst, limits[vi])
-                            continue
-                        row = [0] * nv
-                        const = expr.const
-                        for name, coeff in expr.iter_coeffs():
-                            if name in draw:
-                                const = const + coeff * draw[name]
-                            elif scaled:
-                                j = var_index[name]
-                                q = Fraction(coeff) * scale[vi] / scale[j]
-                                if q.denominator != 1:  # pragma: no cover -
-                                    # the report's divisibility fixpoint
-                                    # guarantees integrality; stay safe
-                                    return None
-                                row[j] = int(q)
-                            else:
-                                row[var_index[name]] = int(coeff)
-                        if scaled:
-                            scaled_const = Fraction(const) * scale[vi]
-                            if scaled_const.denominator != 1:  # pragma: no cover
-                                return None
-                            c = int(scaled_const)
-                        else:
-                            c = int(const)
-                        magnitude = sum(
-                            abs(row[j]) * limits[j] for j in range(nv)
-                        ) + abs(c)
-                        if magnitude >= _INT_STEP_MAGNITUDE:
-                            return None
-                        worst = max(worst, magnitude)
-                        a_rows.append(row)
-                        c_row.append(c)
-                    cached = (
-                        (
-                            np.array(a_rows, dtype=np.int64).reshape(nv, nv),
-                            np.array(c_row, dtype=np.int64),
-                        ),
-                        _INT_STEP_MAGNITUDE - worst,
+                    cached = _step_rows(
+                        fork.update, draw, program_vars, var_index, scale, limits
                     )
+                    if cached is None:
+                        return None
                     step_cache[key] = cached
-                compiled, step_headroom = cached
+                a_mat, c_vec, headroom = cached
                 step_entries.append(
-                    {
-                        "transition": ti,
-                        "fork": fi,
-                        "draw": d_idx,
-                        "headroom": int(step_headroom),
-                    }
+                    {"transition": ti, "fork": fi, "draw": d_idx, "headroom": headroom}
                 )
-                steppers.append((p_fork * draw_p, dest, compiled[0], compiled[1]))
+                steppers.append((p_fork * draw_p, dest, a_mat, c_vec))
         rows_by_loc.setdefault(loc_id[t.source], []).append(
             (guard_rows, guard_consts, steppers)
         )
 
     admission = {
-        "lattice": "scaled" if scaled else "int64",
+        "lattice": lattice,
         "scale": list(scale),
         "limits": list(limits),
         "guards": guard_entries,
@@ -633,7 +598,7 @@ def _compile_int_plan(pts: PTS, allow_scaled: bool = False) -> Optional[_IntPlan
             slices,
             stepper_lists,
         )
-    return _IntPlan(by_loc, scale, limits, scaled, admission)
+    return _IntPlan(by_loc, scale, limits, admission)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +614,9 @@ class SparseFixpointModel:
     state (sink rows are empty); the fixed sink values and the overflow
     pessimization live in the affine offsets, so one sweep of both passes is
     ``X <- matrix @ X + B``.  ``explored_via`` records which exploration
-    engine produced the model (``"int64"``, ``"scaled-int64"`` or
-    ``"fraction"``); all produce bit-identical data on admissible systems.
+    engine produced the model: ``"fraction"``, or the lattice engine as
+    ``"int64"`` (integer-lattice PTS) or ``"scaled-int64"`` (fractional
+    PTS); both engines produce bit-identical data on admissible systems.
     """
 
     n: int
@@ -678,11 +644,10 @@ class SparseFixpointModel:
     def index(self) -> Dict[State, int]:
         """State -> row interning map, materialized on first access.
 
-        The int64/scaled-int64 explorers never build Python state tuples
-        during the BFS (the scaled one additionally descales fixed-point
-        coordinates back to exact rationals here); callers that want the
-        mapping (tests, debugging) pay for it here instead of on every
-        exploration.
+        The lattice explorer never builds Python state tuples during the
+        BFS (it descales fixed-point coordinates back to exact rationals
+        here); callers that want the mapping (tests, debugging) pay for it
+        here instead of on every exploration.
         """
         if self._index is None:
             self._index = self._index_builder() if self._index_builder else {}
@@ -706,15 +671,13 @@ def build_sparse_model(
     """Explore the reachable fragment and assemble the sparse model.
 
     ``explore`` selects the exploration engine: ``"auto"`` (default) runs
-    the int64 frontier-batch BFS whenever the PTS is admitted by
-    :func:`_compile_int_plan` — on the plain integer lattice *or*, for
-    fractional systems, on the scaled (fixed-point) lattice — and silently
-    falls back to the exact path on inadmissible systems or on value
-    overflow mid-exploration; ``"int64"`` forces the integer-lattice fast
-    path and ``"scaled"`` the fixed-point one (each raising
-    :class:`ModelError` when it cannot run; ``"scaled"`` on an
-    integer-lattice PTS degenerates to the int64 path with all scale
-    factors 1); ``"fraction"`` forces the exact scalar path.
+    the lattice frontier-batch BFS whenever the PTS is admitted by
+    :func:`_compile_int_plan` and silently falls back to the exact path
+    on inadmissible systems, on value overflow mid-exploration, and on
+    thin or tiny models where batching does not pay; ``"scaled"`` forces
+    the lattice engine (raising :class:`ModelError` when it cannot run,
+    and never bailing out to the scalar engine); ``"fraction"`` forces
+    the exact scalar path.
 
     All engines visit states in exactly the reference engine's order (so
     ``max_states`` truncation cuts the same frontier) and emit COO triplets
@@ -723,43 +686,29 @@ def build_sparse_model(
     if explore not in _EXPLORE_MODES:
         raise ValueError(f"explore must be one of {_EXPLORE_MODES}, got {explore!r}")
     if explore != "fraction":
-        plan = _compile_int_plan(pts, allow_scaled=explore in ("auto", "scaled"))
+        plan = _compile_int_plan(pts)
         if plan is None:
-            if explore == "int64":
-                raise ModelError(
-                    "int64 exploration requires an integer-lattice PTS: "
-                    + (pts.integrality().reason or "coefficient magnitudes too large")
-                )
             if explore == "scaled":
-                report = pts.integrality()
-                if report.integral:
-                    # degenerate case: the scale-1 (plain int64) plan was
-                    # rejected, so rescaling played no part in the refusal
-                    reason = "coefficient magnitudes too large"
-                elif report.scale is None:
-                    reason = report.scale_reason
-                else:
-                    reason = (
-                        "rescaled coefficient magnitudes or guard gaps "
-                        "exceed the admission bounds"
-                    )
+                # scale_reason is empty when a lattice exists but a row is refused
                 raise ModelError(
-                    "scaled exploration requires a fixed-point-admissible "
-                    "PTS: " + reason
+                    "scaled exploration requires a fixed-point-admissible PTS: "
+                    + (
+                        pts.integrality().scale_reason
+                        or "coefficient magnitudes or guard gaps exceed the admission bounds"
+                    )
                 )
         else:
             try:
-                # forced int64/scaled disables the thin-frontier bailout so
-                # tests and benchmarks exercise the batched path
-                # deterministically
+                # forced scaled disables the thin-frontier bailout so tests
+                # and benchmarks exercise the batched path deterministically
                 return _build_model_int(
                     pts, plan, max_states, allow_thin_bailout=explore == "auto"
                 )
             except _IntOverflow:
-                if explore in ("int64", "scaled"):
+                if explore == "scaled":
                     raise ModelError(
-                        f"state values overflowed the {explore} frontier "
-                        f"limit (|scaled value| beyond the per-variable "
+                        f"state values overflowed the {plan.admission['lattice']} "
+                        f"frontier limit (|scaled value| beyond the per-variable "
                         f"bound, at most {_INT_VALUE_LIMIT}); rerun with "
                         f"explore='fraction'"
                     ) from None
@@ -860,7 +809,7 @@ def _build_model_int(
     max_states: int,
     allow_thin_bailout: bool = False,
 ) -> SparseFixpointModel:
-    """The int64/scaled-int64 engine: frontier-batch BFS with void-view dedup.
+    """The lattice engine: frontier-batch BFS with void-view dedup.
 
     Each BFS level is processed as numpy batches — guard dispatch is one
     integer matrix product per location group, successor generation one
@@ -870,9 +819,9 @@ def _build_model_int(
     interning, truncation and triplet emission replicate the scalar engine
     exactly.  The global intern table is a *sorted* void-key array probed
     with ``np.searchsorted`` — no per-state Python hashing anywhere.
-    On a scaled lattice the BFS runs entirely in fixed-point coordinates
-    (``plan.scale * value``, an exact bijection onto the reachable
-    rationals); only the lazy ``index`` descales back.  Raises
+    The BFS runs entirely in fixed-point coordinates (``plan.scale *
+    value``, an exact bijection onto the reachable rationals); only the
+    lazy ``index`` descales back.  Raises
     :class:`_IntOverflow` the moment any successor leaves the per-variable
     admitted range ``plan.limits`` and :class:`_ThinFrontier` (when
     allowed) on chain-shaped systems whose levels are too narrow to
@@ -1103,26 +1052,20 @@ def _build_model_int(
     b_upper = b_lower + over
 
     def index_builder() -> Dict[State, int]:
+        # descale back to the exact representation: Fraction(k, s)
+        # auto-reduces, and _normalize keeps integral values as plain ints
+        # — both hash-equal to the scalar engine's tuples
         names = [loc_names[i] for i in locs.tolist()]
         rows_list = vals.tolist()
-        if plan.scaled:
-            # descale back to the exact representation: Fraction(k, s)
-            # auto-reduces, and _normalize keeps integral values as plain
-            # ints — both hash-equal to the scalar engine's tuples
-            denoms = plan.scale
-            return {
-                (
-                    names[i],
-                    tuple(
-                        _normalize(Fraction(k, s))
-                        for k, s in zip(rows_list[i], denoms)
-                    ),
-                ): i
-                for i in range(n)
-            }
         return {
-            (names[i], tuple(rows_list[i])): i for i in range(n)
-        }  # ints hash-equal to the Fractions of the scalar engine
+            (
+                names[i],
+                tuple(
+                    _normalize(Fraction(k, s)) for k, s in zip(rows_list[i], plan.scale)
+                ),
+            ): i
+            for i in range(n)
+        }
 
     return SparseFixpointModel(
         n=n,
@@ -1132,7 +1075,7 @@ def _build_model_int(
         x0_lower=b_lower.copy(),
         x0_upper=x0_upper,
         truncated=truncated,
-        explored_via="scaled-int64" if plan.scaled else "int64",
+        explored_via="int64" if plan.admission["lattice"] == "int64" else "scaled-int64",
         _index_builder=index_builder,
         _evidence={"levels": acc.finish(), "admission": plan.admission},
     )

@@ -49,13 +49,6 @@ OMEGA = "_omega"
 BETA = "_beta"
 
 
-def _mean_substituted(pts: PTS, expr: LinExpr) -> LinExpr:
-    """Replace sampling variables by their means (for expectation in (C3))."""
-    subs = {r: LinExpr.constant(d.mean()) for r, d in pts.distributions.items()}
-    needed = {n: subs[n] for n in expr.variables() if n in subs}
-    return expr.substitute(needed) if needed else expr
-
-
 def _eta_of_update(
     pts: PTS, template: ExpTemplate, dst: str, update
 ) -> Tuple[Dict[str, LinExpr], Dict[str, LinExpr], LinExpr]:

@@ -6,10 +6,11 @@ workload on the exact Fraction engine.  This module turns that posture
 into per-run evidence, WaveCert-style: every fast-path run emits a
 :class:`RunCertificate` carrying
 
-* the **admission bounds actually used** by the int64/scaled frontier
-  explorer — lattice scale factors, per-variable magnitude limits,
-  rescaled guard rows with their clearing multipliers, and the integer
-  overflow headroom of every guard and stepper row;
+* the **admission bounds actually used** by the lattice frontier
+  explorer — lattice scale factors, the per-variable limits rule (the
+  record's ``lattice`` tag, ``int64`` or ``scaled``) and its limits,
+  lowered guard rows with their clearing multipliers, and the integer
+  headroom of every guard and stepper row;
 * **per-BFS-level frontier digests** — a sha256 over the canonical
   ``(location, numerator, denominator, ...)`` encoding of each level's
   states in admission order, plus the full (compressed) state table so
@@ -20,16 +21,18 @@ into per-run evidence, WaveCert-style: every fast-path run emits a
 * the **program and engine fingerprints** binding all of the above to
   one model and one fixpoint-machinery version.
 
-:func:`verify_run_certificate` is the independent checker: it re-derives
-the admission inequalities from the PTS with exact ``Fraction``
-arithmetic (deliberately *duplicating* the admission constants and the
-rescaling algebra instead of importing the fast path's compiled plan),
-replays every level digest from the embedded state table, validates
-state well-formedness against the re-derived lattice limits, and sanity-
-checks the value-iteration evidence — all without running exploration or
-a single sweep.  ``repro verify-certificate`` exposes it on the command
-line, and the CI ``certificates`` job gates PRs on it (it replaced the
-bitwise two-engine re-run).
+:func:`verify_run_certificate` is the independent checker: it checks
+that the explorer label is one the engine emits and that the requested
+``explore`` mode could have produced it, re-derives the admission
+inequalities from the PTS with exact ``Fraction`` arithmetic
+(deliberately *duplicating* the admission constants, the one guard-row
+rule and the stepper algebra instead of importing the fast path's
+compiled plan), replays every level digest from the embedded state
+table, validates state well-formedness against the re-derived lattice
+limits, and sanity-checks the value-iteration evidence — all without
+running exploration or a single sweep.  ``repro verify-certificate``
+exposes it on the command line, and the CI ``certificates`` job gates PRs
+on it (it replaced the bitwise two-engine re-run).
 
 Certificates ride the engine cache as sidecar blobs next to their
 ``ResultCache`` entries (see :mod:`repro.engine.cache`) and deliberately
@@ -45,7 +48,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -80,13 +83,19 @@ CERT_VERSION = 1
 # the contract.  A silent drift between the two is caught by the
 # ``bounds`` section of every certificate — emit records the fast path's
 # constants, verify compares them against these.
-_VALUE_LIMIT = 2**31  # per-variable scaled-magnitude bound (int64 lattice)
-_REAL_LIMIT = 2**15  # descaled real-coordinate bound (scaled lattice)
-_GUARD_MAGNITUDE = 2**52  # int64-lattice guard rows: float eval stays exact
-_STEP_MAGNITUDE = 2**62  # stepper rows / scaled guard rows: no int64 wrap
-_GAP_LIMIT = 5 * 10**8  # scaled guard clearing multiplier cap (gap >= 2e-9)
+_VALUE_LIMIT = 2**31  # per-variable scaled-magnitude bound (integral PTS)
+_REAL_LIMIT = 2**15  # descaled real-coordinate bound (fractional PTS)
+_GUARD_MAGNITUDE = 2**52  # exact guard rows: float eval stays exact
+_STEP_MAGNITUDE = 2**62  # stepper rows / gap-rule guard rows: no int64 wrap
+_GAP_LIMIT = 5 * 10**8  # gap-rule clearing multiplier cap (gap >= 2e-9)
 _GUARD_SLACK = 5e-10  # admissible reference float guard-evaluation error
 _ULP = 2.0**-53  # unit roundoff of IEEE double arithmetic
+
+#: the lattice explorer's labels, every explorer label, and the modes a
+#: run may have requested
+_LATTICE_EXPLORERS = ("int64", "scaled-int64")
+_EXPLORERS = ("fraction",) + _LATTICE_EXPLORERS
+_REQUESTS = ("auto", "scaled", "fraction")
 
 _BOUNDS = {
     "value_limit": _VALUE_LIMIT,
@@ -114,14 +123,14 @@ class CertificateError(ReproError):
 # --------------------------------------------------------------------------
 # One state = one row ``[loc_id, num_1, den_1, ..., num_nv, den_nv]`` of
 # reduced rationals (``den >= 1``, ``gcd(|num|, den) = 1``) — the unique
-# canonical form shared by all three exploration engines, so cross-engine
+# canonical form shared by both exploration engines, so cross-engine
 # digests agree bit for bit.
 
 
 def canonical_level_rows(
     locs: np.ndarray, vals: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
-    """Canonical rows of one frontier level of the int64/scaled engine.
+    """Canonical rows of one frontier level of the lattice engine.
 
     ``vals`` holds *scaled* coordinates ``s_j * x_j``; reducing
     ``vals[:, j] / scale[j]`` by the (always positive) gcd yields the
@@ -418,61 +427,50 @@ def _draw_values(pts) -> Optional[List[Dict[str, Fraction]]]:
 
 
 def _derive_guard_entry(
-    expr, var_index, scale, limits, scaled, ti: int, k: int
+    expr, var_index, scale, limits, ti: int, k: int
 ) -> Optional[Dict[str, Any]]:
     """Re-derive one guard row's admission record, or ``None`` when the
-    row is inadmissible — mirroring ``_scaled_guard_row`` (scaled) and the
-    plain-int64 magnitude check of ``_compile_int_plan`` exactly, but with
-    the checker's own constants."""
-    nv = len(scale)
+    row is inadmissible — mirroring ``fixpoint._guard_row`` exactly, but
+    with the checker's own constants: an exact row (clearing multiplier
+    1, every variable of the row on scale 1) is measured against
+    ``2**52``, every other row must pass the gap rule and stay below
+    ``2**62``."""
     terms = [
         (var_index[name], Fraction(coeff)) for name, coeff in expr.iter_coeffs()
     ]
     const = Fraction(expr.const)
-    if scaled:
-        mult = const.denominator
-        rescaled = []
-        for j, coeff in terms:
-            q = coeff / scale[j]
-            rescaled.append((j, q))
-            mult = mult * q.denominator // gcd(mult, q.denominator)
+    mult = const.denominator
+    for j, coeff in terms:
+        mult = lcm(mult, (coeff / scale[j]).denominator)
+    exact = mult == 1 and all(scale[j] == 1 for j, _ in terms)
+    if not exact:
         if mult > _GAP_LIMIT:
-            return None
-        row = [0] * nv
-        for j, q in rescaled:
-            row[j] = int(q * mult)
-        c = int(const * mult)
-        magnitude = sum(abs(row[j]) * limits[j] for j in range(nv)) + abs(c)
-        if magnitude >= _STEP_MAGNITUDE:
             return None
         float_mag = abs(float(const)) + sum(
             abs(float(coeff)) * (limits[j] / scale[j]) for j, coeff in terms
         )
         if (len(terms) + 4) * _ULP * float_mag > _GUARD_SLACK:
             return None
-        headroom = _STEP_MAGNITUDE - magnitude
-    else:
-        mult = 1
-        row = [0] * nv
-        for j, coeff in terms:
-            row[j] = int(coeff)
-        c = int(const)
-        magnitude = sum(abs(a) for a in row) * _VALUE_LIMIT + abs(c)
-        if magnitude >= _GUARD_MAGNITUDE:
-            return None
-        headroom = _GUARD_MAGNITUDE - magnitude
+    row = [0] * len(scale)
+    for j, coeff in terms:
+        row[j] = int(coeff / scale[j] * mult)
+    c = int(const * mult)
+    bound = _GUARD_MAGNITUDE if exact else _STEP_MAGNITUDE
+    magnitude = sum(abs(a) * limit for a, limit in zip(row, limits)) + abs(c)
+    if magnitude >= bound:
+        return None
     return {
         "transition": ti,
         "ineq": k,
         "mult": int(mult),
         "row": row,
         "const": c,
-        "headroom": int(headroom),
+        "headroom": int(bound - magnitude),
     }
 
 
 def _derive_step_headroom(
-    update, draw, program_vars, var_index, scale, limits, scaled
+    update, draw, program_vars, var_index, scale, limits
 ) -> Optional[int]:
     """Max-over-variables int64 headroom of one fork/draw stepper, or
     ``None`` when inadmissible — same rescaling algebra as the compiled
@@ -487,26 +485,20 @@ def _derive_step_headroom(
             worst = max(worst, limits[vi])
             continue
         row = [0] * nv
-        const = expr.const
+        const = Fraction(expr.const)
         for name, coeff in expr.iter_coeffs():
             if name in draw:
-                const = const + coeff * draw[name]
-            elif scaled:
-                j = var_index[name]
-                q = Fraction(coeff) * scale[vi] / scale[j]
-                if q.denominator != 1:
-                    return None
-                row[j] = int(q)
-            else:
-                row[var_index[name]] = int(coeff)
-        if scaled:
-            scaled_const = Fraction(const) * scale[vi]
-            if scaled_const.denominator != 1:
+                const += coeff * draw[name]
+                continue
+            j = var_index[name]
+            q = Fraction(coeff) * scale[vi] / scale[j]
+            if q.denominator != 1:
                 return None
-            c = int(scaled_const)
-        else:
-            c = int(const)
-        magnitude = sum(abs(row[j]) * limits[j] for j in range(nv)) + abs(c)
+            row[j] = int(q)
+        const *= scale[vi]
+        if const.denominator != 1:
+            return None
+        magnitude = sum(abs(a) * limit for a, limit in zip(row, limits)) + abs(int(const))
         if magnitude >= _STEP_MAGNITUDE:
             return None
         worst = max(worst, magnitude)
@@ -517,24 +509,24 @@ def derive_admission(pts) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     """Independently re-derive the frontier engine's admission record from
     the PTS: ``(record, None)`` when the fast path is admissible, else
     ``(None, reason)``.  This is the checker's ground truth — a recorded
-    admission section must equal it entry for entry."""
+    admission section must equal it entry for entry.  The lattice is the
+    integrality report's scale (all ones on an integer-lattice PTS); the
+    ``lattice`` tag names the per-variable limits rule, ``2**31`` on an
+    integer-lattice PTS (``"int64"``) and ``min(2**31, s_v * 2**15)``
+    otherwise (``"scaled"``)."""
     report = pts.integrality()
-    if report.integral:
-        scaled = False
-    elif report.scale is not None:
-        scaled = True
-    else:
+    if report.scale is None:
         return None, (
             report.scale_reason or report.reason or "not lattice-admissible"
         )
     program_vars = pts.program_vars
-    nv = len(program_vars)
     var_index = {v: i for i, v in enumerate(program_vars)}
-    scale = [int(s) for s in (report.scale or (1,) * nv)]
-    if scaled:
-        limits = [min(_VALUE_LIMIT, s * _REAL_LIMIT) for s in scale]
+    scale = [int(s) for s in report.scale]
+    if report.integral:
+        lattice, limits = "int64", [_VALUE_LIMIT] * len(scale)
     else:
-        limits = [_VALUE_LIMIT] * nv
+        lattice = "scaled"
+        limits = [min(_VALUE_LIMIT, s * _REAL_LIMIT) for s in scale]
     draws = _draw_values(pts)
     if draws is None:
         return None, "continuous sampling distribution"
@@ -542,16 +534,14 @@ def derive_admission(pts) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     steps: List[Dict[str, Any]] = []
     for ti, t in enumerate(pts.transitions):
         for k, ineq in enumerate(t.guard.inequalities):
-            entry = _derive_guard_entry(
-                ineq.expr, var_index, scale, limits, scaled, ti, k
-            )
+            entry = _derive_guard_entry(ineq.expr, var_index, scale, limits, ti, k)
             if entry is None:
                 return None, f"guard row {k} of transition {ti} is inadmissible"
             guards.append(entry)
         for fi, fork in enumerate(t.forks):
             for di, draw in enumerate(draws):
                 headroom = _derive_step_headroom(
-                    fork.update, draw, program_vars, var_index, scale, limits, scaled
+                    fork.update, draw, program_vars, var_index, scale, limits
                 )
                 if headroom is None:
                     return None, (
@@ -559,15 +549,10 @@ def derive_admission(pts) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
                         "is inadmissible"
                     )
                 steps.append(
-                    {
-                        "transition": ti,
-                        "fork": fi,
-                        "draw": di,
-                        "headroom": int(headroom),
-                    }
+                    {"transition": ti, "fork": fi, "draw": di, "headroom": headroom}
                 )
     record = {
-        "lattice": "scaled" if scaled else "int64",
+        "lattice": lattice,
         "scale": scale,
         "limits": limits,
         "guards": guards,
@@ -764,7 +749,8 @@ def verify_run_certificate(cert: RunCertificate, pts=None) -> VerificationReport
     embedded program source (required when the certificate has none).
 
     Checks, in order: payload integrity (digest), structure, program +
-    engine fingerprints, the admission record against a from-scratch
+    engine fingerprints, the explorer label and the requested mode that
+    produced it, the admission record against a from-scratch
     re-derivation, every per-level frontier digest replayed from the
     embedded state table (plus the init state and the level structure),
     state well-formedness against the re-derived lattice, and the
@@ -810,8 +796,17 @@ def verify_run_certificate(cert: RunCertificate, pts=None) -> VerificationReport
 
     exploration = payload["exploration"]
     explorer = exploration.get("explorer")
+    requested = exploration.get("requested")
     admission = exploration.get("admission")
-    if explorer in ("int64", "scaled-int64"):
+    report.add("explorer-label", explorer in _EXPLORERS, f"unknown explorer {explorer!r}")
+    report.add(
+        "explore-requested",
+        requested in _REQUESTS
+        and (requested != "fraction" or explorer == "fraction")
+        and (requested != "scaled" or explorer in _LATTICE_EXPLORERS),
+        f"requested mode {requested!r} cannot produce explorer {explorer!r}",
+    )
+    if explorer in _LATTICE_EXPLORERS:
         derived, why = derive_admission(pts)
         if report.add(
             "admission-derivable",

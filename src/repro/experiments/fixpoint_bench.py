@@ -26,7 +26,7 @@ __all__ = [
 #: name -> (source, default max_states, integer_mode): small /
 #: iteration-heavy / state-heavy, covering CSR sweeps from 13 to 100k
 #: states, plus two 100k-state all-integer Table 1 shapes where the
-#: int64 frontier explorer shows its headroom over the exact Fraction BFS,
+#: lattice frontier explorer shows its headroom over the exact Fraction BFS,
 #: and the three fractional Table 1 shapes the scaled-lattice (fixed-point
 #: int64) admission opened up (see ``PERFORMANCE.md``).  ``integer_mode``
 #: mirrors the program registry: fractional-step programs must keep their
@@ -170,11 +170,11 @@ def explore_timings(
 
     Shared by the ``repro bench`` CLI and ``benchmarks/bench_fixpoint.py``
     so both producers emit the same schema: always ``explorer`` and
-    ``explore_seconds``; when a frontier engine ran (``"int64"`` or
+    ``explore_seconds``; when the lattice engine ran (``"int64"`` or
     ``"scaled-int64"``, and ``compare`` is true), also the exact
     Fraction-BFS comparison ``explore_fraction_seconds`` and (whenever the
-    timer resolved a nonzero frontier time) ``explore_speedup``; when the
-    scaled engine ran, additionally the per-variable fixed-point
+    timer resolved a nonzero frontier time) ``explore_speedup``; when it
+    ran as ``"scaled-int64"``, additionally the per-variable fixed-point
     denominators as ``scale_factors``.  Keys are *omitted*, never null,
     when inapplicable.  Pass ``compare=False`` to skip the slow Fraction
     re-exploration (``repro bench --skip-reference``).

@@ -1,7 +1,7 @@
 """The differential-fuzzing farm: one generated PTS, every lowering.
 
 Each generated program is lowered through the full explorer/solver grid
-— ``fraction``/``int64``/``scaled`` where admitted, times
+— ``fraction``, plus ``scaled`` where admitted, times
 ``sweep``/``auto`` — as an *engine task DAG*, so
 ``--jobs`` fans the grid out across workers and the engine's fault
 tolerance (retries, deadlines, pool self-healing) applies to fuzz runs
@@ -9,7 +9,7 @@ exactly as it does to production tables.  The oracle stack, cheapest
 first:
 
 1. **admission differential** — :func:`repro.core.runcert.derive_admission`
-   independently predicts which forced modes must run and which must
+   independently predicts whether the forced lattice mode must run or
    refuse; the engine disagreeing either way is a finding in itself;
 2. **bracket cross-check** — all surviving brackets must pairwise
    overlap (they bound the same truncated-model value), forced explorers
@@ -76,7 +76,7 @@ class ProgramVerdict:
     program: GeneratedProgram
     cells: List[Dict[str, Any]] = field(default_factory=list)
     discrepancies: List[Discrepancy] = field(default_factory=list)
-    admission: str = ""  # "int64" | "scaled" | the rejection reason
+    admission: str = ""  # the lattice tag ("int64" | "scaled") or "none"
 
     @property
     def ok_runs(self) -> int:
@@ -163,19 +163,15 @@ class FarmReport:
 
 
 def _expectations(pts) -> Tuple[Dict[str, str], str]:
-    """Which forced explorers must run ("ok") vs refuse ("refuse"),
-    derived by the *checker's* admission logic — never the engine's."""
+    """Whether each forced explorer must run ("ok") or refuse ("refuse"),
+    derived by the *checker's* admission logic — never the engine's — plus
+    the admitted lattice tag or the rejection reason."""
     from repro.core.runcert import derive_admission
 
     record, reason = derive_admission(pts)
     if record is None:
-        return (
-            {"fraction": "ok", "int64": "refuse", "scaled": "refuse"},
-            reason or "inadmissible",
-        )
-    if record["lattice"] == "int64":
-        return {"fraction": "ok", "int64": "ok", "scaled": "ok"}, "int64"
-    return {"fraction": "ok", "int64": "refuse", "scaled": "ok"}, "scaled"
+        return {"fraction": "ok", "scaled": "refuse"}, reason or "inadmissible"
+    return {"fraction": "ok", "scaled": "ok"}, record["lattice"]
 
 
 def _grid(expect: Dict[str, str], solvers: Sequence[str]):
@@ -318,8 +314,9 @@ def cross_check_cells(
             )
         elif cell["expected"] == "ok" and not cell["ok"]:
             if "overflow" in (cell["error"] or "").lower():
-                # static admission passed but the run overflowed int64 at
-                # runtime — a legitimate conservative refusal, not a bug
+                # static admission passed but the run overflowed the
+                # lattice limits at runtime — a legitimate conservative
+                # refusal, not a bug
                 cell["overflow_refusal"] = True
             else:
                 discs.append(

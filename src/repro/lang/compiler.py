@@ -342,13 +342,6 @@ def _compose(first: AffineUpdate, then: AffineUpdate) -> AffineUpdate:
     return AffineUpdate(composed)
 
 
-def _assigned_or_read(update: AffineUpdate) -> List[str]:
-    names = set(update.assignments)
-    for expr in update.assignments.values():
-        names.update(expr.variables())
-    return sorted(names)
-
-
 def _sampling_vars_used(update: AffineUpdate, sampling: set) -> set:
     used = set()
     for expr in update.assignments.values():

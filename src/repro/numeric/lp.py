@@ -232,10 +232,6 @@ class LinearProgram:
         self._objective = expr
 
     @property
-    def num_variables(self) -> int:
-        return len(self._index)
-
-    @property
     def num_constraints(self) -> int:
         return len(self._le_rows) + len(self._eq_rows)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
 from repro.errors import ModelError
 from repro.polyhedra.constraints import Polyhedron
@@ -125,13 +125,3 @@ class FarkasEncoder:
         return self.encode_implication(
             hom, direction_coeffs, LinExpr.constant(0), label=label
         )
-
-    @staticmethod
-    def verify_multipliers(
-        poly: Polyhedron,
-        constraints: Sequence[TemplateConstraint],
-        assignment: Dict[str, float],
-        tol: float = 1e-6,
-    ) -> bool:
-        """Re-check an assignment against an encoded block (certificate use)."""
-        return all(c.holds(assignment, tol) for c in constraints)

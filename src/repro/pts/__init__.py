@@ -12,8 +12,8 @@ syntax (``repro.lang`` compiles *into* this layer) or about the synthesis
 algorithms above it.  A :class:`PTS` is immutable after construction;
 derived metadata such as :meth:`PTS.integrality` (the lattice-admission
 report — integer-lattice classification plus per-variable fixed-point
-denominators — consumed by the fixpoint engine's int64/scaled-int64
-exploration fast paths) is cached on the instance, with a cheap
+denominators — consumed by the fixpoint engine's lattice exploration
+fast path) is cached on the instance, with a cheap
 structural stamp re-checked on every hit so rebinding or shallow in-place
 mutation cannot serve a stale report (deep mutation inside a
 :class:`~repro.polyhedra.linexpr.LinExpr` is excluded by that class's own

@@ -31,7 +31,7 @@ Integer-lattice note: keep initial values, guard/update coefficients and
 discrete-distribution atoms integral (ints, or Fractions with denominator
 1) when the model allows it — the built PTS then classifies as
 integer-lattice (:meth:`repro.pts.PTS.integrality`) and ground-truth
-value iteration explores it on the int64 frontier fast path, several
+value iteration explores it on the lattice frontier fast path, several
 times faster than the exact Fraction interning BFS.  Fork *probabilities*
 may be arbitrary rationals; they never enter a state vector.
 """

@@ -42,7 +42,7 @@ FAIL = "__fail__"
 
 #: hard cap on any per-variable fixed-point denominator of the scaled
 #: lattice (see :meth:`PTS.integrality`): the guard-gap argument of the
-#: scaled int64 explorer needs ``1/scale`` to stay orders of magnitude
+#: lattice explorer needs ``1/scale`` to stay orders of magnitude
 #: above the reference engine's 1e-9 float guard tolerance
 _SCALE_LIMIT = 10**6
 
@@ -58,25 +58,25 @@ class IntegralityReport:
     """Lattice-admission report: does a PTS live on the integer lattice,
     and if not, on which *scaled* (fixed-point) lattice?
 
-    A PTS is *integer-lattice* (``integral``) when every quantity that
-    enters a reachable state is an integer: the initial valuation, every
-    guard coefficient and constant, every update coefficient and constant,
-    and every atom value of every (discrete) sampling distribution.  On
-    such systems the reachable fragment is a subset of ``Z^|V|`` and state
-    exploration can run on machine integers (see the int64 frontier fast
-    path in :mod:`repro.core.fixpoint`) with decisions provably identical
-    to the exact :class:`~fractions.Fraction` semantics.
+    ``scale`` reports the per-variable denominator LCMs ``s_v`` of a
+    fixed-point lattice: every reachable value of variable ``v`` is an
+    integer multiple of ``1/s_v``, so exploration can run on the rescaled
+    machine integers ``s_v * v`` (the lattice frontier fast path in
+    :mod:`repro.core.fixpoint`) with decisions provably identical to the
+    exact :class:`~fractions.Fraction` semantics, and descale emitted
+    states back to the exact representation.  ``scale`` is ``None`` —
+    with ``scale_reason`` naming the witness — when no such lattice
+    exists: continuous sampling, contractive update coefficients
+    (``x := x/2`` refines the lattice forever), or denominators beyond
+    the 10^6 cap.
 
-    When the system is *not* integral, ``scale`` reports the per-variable
-    denominator LCMs ``s_v`` of a fixed-point lattice: every reachable
-    value of variable ``v`` is an integer multiple of ``1/s_v``, so
-    exploration can run on the rescaled integers ``s_v * v`` (the
-    ``"scaled-int64"`` engine) and descale emitted states back to the
-    exact representation.  ``scale`` is ``None`` — with ``scale_reason``
-    naming the witness — when no such lattice exists: continuous sampling,
-    contractive update coefficients (``x := x/2`` refines the lattice
-    forever), or denominators beyond the 10^6 cap.  For integral systems
-    ``scale`` is all ones.
+    A PTS is *integer-lattice* (``integral``, with ``scale`` all ones)
+    when every quantity that enters a reachable state or a guard is an
+    integer: the initial valuation, every guard coefficient and constant,
+    every update coefficient and constant, and every atom value of every
+    (discrete) sampling distribution.  The explorer then admits states up
+    to ``2**31`` per variable (run label ``"int64"``); on any other
+    lattice descaled magnitudes stay below ``2**15`` (``"scaled-int64"``).
 
     Fork *probabilities* are deliberately exempt throughout: they weight
     transitions but never enter a state vector.  Engine magnitude limits
@@ -168,14 +168,6 @@ class AffineUpdate:
             r.append([expr.coeff(u) for u in sampling_vars])
             e.append(expr.const)
         return q, r, e
-
-    def sampling_variables(self) -> Tuple[str, ...]:
-        """Sampling variables referenced by this update (computed later by
-        the owning PTS, which knows which names are sampling variables)."""
-        names = set()
-        for expr in self.assignments.values():
-            names.update(expr.variables())
-        return tuple(sorted(names))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineUpdate):
@@ -334,15 +326,8 @@ class PTS:
                 return t
         return None
 
-    def initial_state(self) -> Tuple[str, Dict[str, Fraction]]:
-        return self.init_location, dict(self.init_valuation)
-
     def is_sink(self, location: str) -> bool:
         return location in (self.term_location, self.fail_location)
-
-    def is_affine(self) -> bool:
-        """Affine by construction; kept for interface symmetry."""
-        return True
 
     def _structure_stamp(self) -> Tuple[Tuple, Tuple]:
         """Cheap fingerprint of everything :meth:`integrality` reads.
@@ -393,10 +378,11 @@ class PTS:
     def integrality(self) -> IntegralityReport:
         """The lattice-admission report of this PTS (cached).
 
-        The report is the admission check of the int64/scaled-int64
-        exploration fast paths: ``integral`` admits the plain integer
-        lattice, ``scale`` the fixed-point one, and a ``scale`` of ``None``
-        pins exploration to the exact Fraction representation.  Magnitude
+        The report is the admission check of the lattice exploration fast
+        path: ``scale`` is the fixed-point lattice it explores (all ones
+        when ``integral``, which also selects the wider per-variable
+        limits), and a ``scale`` of ``None`` pins exploration to the
+        exact Fraction representation.  Magnitude
         limits (values that would overflow ``int64``) are a property of a
         *run*, not of the system, so they are checked by the explorer
         itself, not here.

@@ -150,11 +150,13 @@ class TestBenchWorkflow:
         assert "schedule" in triggers and "workflow_dispatch" in triggers
         assert "push" not in triggers
         # pull requests run the bench only when they touch the exploration
-        # layers, the §5.2 solve or the §5.1 Ser search, and only through a
+        # layers, the run-certificate checker every bench run verifies
+        # with, the §5.2 solve or the §5.1 Ser search, and only through a
         # paths filter (never the whole pull-request stream)
         pr = triggers["pull_request"]
         assert isinstance(pr, dict) and pr.get("paths")
         assert "src/repro/core/fixpoint*.py" in pr["paths"]
+        assert "src/repro/core/runcert.py" in pr["paths"]
         assert "src/repro/core/solvers.py" in pr["paths"]
         assert "src/repro/pts/model.py" in pr["paths"]
         assert "src/repro/numeric/convex.py" in pr["paths"]

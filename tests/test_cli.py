@@ -105,6 +105,15 @@ class TestSimulateExact:
         out = capsys.readouterr().out
         assert "vpf bracket" in out
 
+    def test_exact_rejects_the_deleted_int64_mode(self, race_file, capsys):
+        # one lattice explorer: integer programs run on it at scale 1
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", race_file, "--explore", "int64"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'int64'" in capsys.readouterr().err
+        assert main(["exact", race_file, "--explore", "scaled"]) == 0
+        assert "vpf bracket" in capsys.readouterr().out
+
 
 class TestAnalyzeEngineFlags:
     def test_cache_replays_analysis(self, race_file, tmp_path, capsys, monkeypatch):

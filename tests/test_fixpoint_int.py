@@ -1,13 +1,12 @@
-"""Differential tests for the int64/scaled-int64 frontier-batch exploration
-fast paths.
+"""Differential tests for the lattice frontier-batch exploration fast path.
 
-The int64 engine must be *bit-identical* to the exact Fraction engine on
-every admissible (integer-lattice) program — and the scaled-int64 engine on
-every fixed-point-admissible fractional program: same state interning
-order, same truncation cut, same COO triplets, hence the same matrix,
-offsets and value-iteration trajectory.  Inadmissible or overflowing
-systems must fall back to the exact path silently under ``explore="auto"``
-and loudly under ``explore="int64"``/``explore="scaled"``.
+The lattice engine must be *bit-identical* to the exact Fraction engine
+on every admissible program — integer-lattice ones (labelled ``int64``)
+and fixed-point-admissible fractional ones (``scaled-int64``): same state
+interning order, same truncation cut, same COO triplets, hence the same
+matrix, offsets and value-iteration trajectory.  Inadmissible or
+overflowing systems must fall back to the exact path silently under
+``explore="auto"`` and loudly under ``explore="scaled"``.
 """
 
 import random
@@ -19,13 +18,13 @@ from scipy.sparse import csr_matrix
 from repro.errors import ModelError
 from repro.lang import compile_source
 from repro.core import fixpoint_reference
-from repro.core.fixpoint import build_sparse_model, value_iteration
+from repro.core.fixpoint import build_sparse_model, iterate_model, value_iteration
 
 from test_fixpoint_equivalence import PROGRAMS, assert_brackets_reference
 from test_random_programs import ProgramGenerator
 
 #: deterministic doubling chain: reaches |x| > 2**31 after ~33 states, so
-#: the int64 BFS must abandon the batch and the exact path take over
+#: the lattice BFS must abandon the batch and the exact path take over
 OVERFLOW_CHAIN = """
 x := 1
 while x <= 10000000000:
@@ -57,7 +56,7 @@ def assert_csr_identical(a, b):
     assert np.array_equal(a.data, b.data)
 
 
-def assert_models_bit_identical(pts, max_states, explore="int64"):
+def assert_models_bit_identical(pts, max_states, explore="scaled"):
     fast = build_sparse_model(pts, max_states=max_states, explore=explore)
     exact = build_sparse_model(pts, max_states=max_states, explore="fraction")
     assert fast.explored_via in ("int64", "scaled-int64")
@@ -69,7 +68,7 @@ def assert_models_bit_identical(pts, max_states, explore="int64"):
     assert (fast.b_upper == exact.b_upper).all()
     assert (fast.x0_lower == exact.x0_lower).all()
     assert (fast.x0_upper == exact.x0_upper).all()
-    assert fast.index == exact.index  # lazy on the int64 side
+    assert fast.index == exact.index  # lazy on the lattice side
     return fast, exact
 
 
@@ -86,12 +85,12 @@ class TestIntegerLatticeBitIdentity:
         assert fast.truncated
 
     def test_value_iteration_brackets_the_reference(self):
-        # int64 exploration feeds the same CSR sweeps as the Fraction
+        # lattice exploration feeds the same CSR sweeps as the Fraction
         # engine; the bracket must agree with the legacy engine's and
         # carry a certificate that verifies
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
         for solver in ("sweep", "auto"):
-            assert_brackets_reference(pts, explore="int64", solver=solver)
+            assert_brackets_reference(pts, explore="scaled", solver=solver)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_programs(self, seed):
@@ -130,16 +129,18 @@ class TestFallback:
         assert fast.upper == ref.upper
 
     def test_forced_int64_raises_on_overflow(self):
+        # a forced lattice run on an integer program: the error names the
+        # int64 lattice whose 2**31 limit the chain left
         pts = compile_source(OVERFLOW_CHAIN, name="ovf").pts
         with pytest.raises(ModelError, match="overflowed the int64"):
-            build_sparse_model(pts, max_states=5_000, explore="int64")
+            build_sparse_model(pts, max_states=5_000, explore="scaled")
 
     def test_truncation_dropped_overflow_candidates_keep_the_fast_path(self):
         # the 33rd state of the doubling chain exceeds 2**31, but with
         # max_states=16 it is cut by the budget before admission — only
-        # *admitted* states are range-checked, so int64 stays usable
+        # *admitted* states are range-checked, so the lattice stays usable
         pts = compile_source(OVERFLOW_CHAIN, name="ovf").pts
-        fast = build_sparse_model(pts, max_states=16, explore="int64")
+        fast = build_sparse_model(pts, max_states=16, explore="scaled")
         exact = build_sparse_model(pts, max_states=16, explore="fraction")
         assert fast.explored_via == "int64"
         assert fast.truncated
@@ -149,11 +150,11 @@ class TestFallback:
 
     def test_auto_bails_out_on_thin_frontiers(self):
         # chain-shaped system: >64 narrow BFS levels restart on the scalar
-        # engine under auto, but forced int64 still batches to completion
+        # engine under auto, but forced scaled still batches to completion
         pts = compile_source(THIN_CHAIN, name="thin").pts
         auto = build_sparse_model(pts, max_states=5_000)
         assert auto.explored_via == "fraction"
-        forced = build_sparse_model(pts, max_states=5_000, explore="int64")
+        forced = build_sparse_model(pts, max_states=5_000, explore="scaled")
         assert forced.explored_via == "int64"
         assert forced.n == auto.n
         assert_csr_identical(forced.matrix, auto.matrix)
@@ -171,11 +172,6 @@ class TestFallback:
         model = build_sparse_model(pts, max_states=100)
         assert model.explored_via == "fraction"
 
-    def test_forced_int64_rejects_non_integer_lattice(self):
-        pts = compile_source(HALF_STEPS, name="half", integer_mode=False).pts
-        with pytest.raises(ModelError, match="integer-lattice"):
-            build_sparse_model(pts, max_states=5_000, explore="int64")
-
     def test_continuous_sampling_rejected_before_exploring(self):
         src = "r ~ uniform(0, 1)\nx := 0\nx := x + r\nassert x <= 2"
         pts = compile_source(src, name="cont").pts
@@ -185,8 +181,10 @@ class TestFallback:
 
     def test_unknown_modes_rejected(self):
         pts = compile_source(PROGRAMS["coin"], name="coin").pts
-        with pytest.raises(ValueError):
-            build_sparse_model(pts, explore="simd")
+        # one lattice explorer: int64 is the scale-1 case of scaled
+        for explore in ("simd", "int64"):
+            with pytest.raises(ValueError):
+                build_sparse_model(pts, explore=explore)
         # one sweep kernel: there is no schedule to pick
         with pytest.raises(TypeError):
             value_iteration(pts, schedule="gauss-seidel")
@@ -208,7 +206,7 @@ class TestTinyModelHeuristic:
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
         auto = build_sparse_model(pts, max_states=20_000)
         assert auto.explored_via == "fraction"
-        # forced int64 still batches, and stays bit-identical
+        # forced scaled still batches, and stays bit-identical
         fast, _ = assert_models_bit_identical(pts, max_states=20_000)
         assert fast.explored_via == "int64"
         assert fast.n < 256
@@ -219,7 +217,7 @@ class TestTinyModelHeuristic:
         assert build_sparse_model(pts, max_states=300).explored_via == "fraction"
         # a >=256-state admitted model keeps the batched engine
         pts_big = compile_source(THIN_CHAIN, name="thin").pts
-        forced = build_sparse_model(pts_big, max_states=5_000, explore="int64")
+        forced = build_sparse_model(pts_big, max_states=5_000, explore="scaled")
         assert forced.n >= 256
 
     def test_bailout_does_not_change_the_bracket(self):
@@ -265,6 +263,22 @@ while x - 3/4 <= 0:
     else:
         x := x + 3/4
 assert x >= 2
+"""
+
+#: a step counter riding a half-integer accumulator on scale (2, 1): the
+#: counter's row t - 1000000 <= 0 is *exact* (clearing multiplier 1, t on
+#: scale 1), so the reference evaluates it in float without rounding.
+#: The gap rule alone would refuse it: its error bound
+#: 5 * 2**-53 * (10**6 + 2**15) ~ 5.7e-10 misses the 5e-10 budget
+EXACT_ROW = """
+x := 0
+t := 0
+while t <= 1000000 and x <= 3:
+    if prob(0.5):
+        x, t := x + 1/2, t + 1
+    else:
+        t := t + 1
+assert x >= 3
 """
 
 #: fractional doubling chain: scaled values leave the per-variable admitted
@@ -395,6 +409,34 @@ class TestScaledLattice:
         model = build_sparse_model(pts, max_states=1_000)
         assert model.explored_via == "fraction"
         assert_models_bit_identical(pts, max_states=1_000, explore="scaled")
+
+    def test_exact_guard_rows_are_admitted_on_a_fractional_lattice(self):
+        from repro.core.runcert import emit_run_certificate, verify_run_certificate
+
+        pts = compile_source(EXACT_ROW, name="exact-row", integer_mode=False).pts
+        assert pts.integrality().scale == (2, 1)
+        assert build_sparse_model(pts, max_states=2_000).explored_via == "scaled-int64"
+        fast, _ = assert_models_bit_identical(pts, max_states=2_000, explore="scaled")
+        assert fast.explored_via == "scaled-int64"
+        assert fast.n == 2_000 and fast.truncated
+        admission = fast._evidence["admission"]
+        assert admission["lattice"] == "scaled"
+        t_limit = admission["limits"][1]
+        assert t_limit == 2**15
+        counter_rows = [
+            g for g in admission["guards"] if g["row"] == [0, 1] and g["const"] == -10**6
+        ]
+        assert counter_rows
+        for entry in counter_rows:
+            assert entry["mult"] == 1
+            assert entry["headroom"] == 2**52 - (t_limit + 10**6)
+        result = iterate_model(fast)
+        cert = emit_run_certificate(
+            pts, fast, result, max_states=2_000, explore="scaled", source=EXACT_ROW,
+            integer_mode=False,
+        )
+        report = verify_run_certificate(cert, pts=pts)
+        assert report.ok, "\n".join(report.render())
 
     def test_forced_scaled_on_integer_lattice_degenerates_to_int64(self):
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
@@ -558,7 +600,7 @@ while x <= 6:
 assert y <= 0
 """
     pts = compile_source(src, name="dedup").pts
-    fast = build_sparse_model(pts, max_states=10_000, explore="int64")
+    fast = build_sparse_model(pts, max_states=10_000, explore="scaled")
     exact = build_sparse_model(pts, max_states=10_000, explore="fraction")
     assert fast.n == exact.n
     assert_csr_identical(fast.matrix, exact.matrix)

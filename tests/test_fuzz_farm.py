@@ -46,14 +46,14 @@ class TestCrossCheck:
     def test_clean_cells_pass(self):
         cells = [
             _ok_cell("fraction", "sweep", 0.25, 0.25),
-            _ok_cell("int64", "sweep", 0.25, 0.25),
+            _ok_cell("scaled", "sweep", 0.25, 0.25),
         ]
         assert cross_check_cells(cells) == []
 
     def test_bracket_overlap_violation_detected(self):
         cells = [
             _ok_cell("fraction", "sweep", 0.2, 0.21),
-            _ok_cell("int64", "sweep", 0.4, 0.41),
+            _ok_cell("scaled", "sweep", 0.4, 0.41),
         ]
         kinds = [k for k, _ in cross_check_cells(cells)]
         assert "bracket-overlap" in kinds
@@ -61,7 +61,7 @@ class TestCrossCheck:
     def test_explorer_divergence_detected(self):
         cells = [
             _ok_cell("fraction", "sweep", 0.25, 0.25, states=10),
-            _ok_cell("int64", "sweep", 0.25, 0.25, states=11),
+            _ok_cell("scaled", "sweep", 0.25, 0.25, states=11),
         ]
         kinds = [k for k, _ in cross_check_cells(cells)]
         assert "explorer-divergence" in kinds
@@ -99,7 +99,7 @@ class TestCrossCheck:
 
     def test_refusal_with_wrong_error_type_detected(self):
         cell = {
-            "explore": "int64",
+            "explore": "scaled",
             "solver": "sweep",
             "expected": "refuse",
             "ok": False,
@@ -111,11 +111,11 @@ class TestCrossCheck:
 
     def test_runtime_overflow_is_not_a_discrepancy(self):
         cell = {
-            "explore": "int64",
+            "explore": "scaled",
             "solver": "sweep",
             "expected": "ok",
             "ok": False,
-            "error": "frontier arithmetic overflowed int64",
+            "error": "state values overflowed the int64 frontier limit",
             "error_type": "ModelError",
         }
         assert cross_check_cells([cell]) == []
@@ -205,7 +205,7 @@ class TestFarm:
 
     def test_forced_modes_follow_the_admission_differential(self):
         # farm seed 2 draws the over-cap mixed-lattice variant: the
-        # checker predicts refusal of both forced modes and the farm
+        # checker predicts refusal of the forced lattice mode and the farm
         # confirms it run by run
         report = run_farm(
             seed=2, count=1, families=("mixed-lattice",), jobs=1, max_states=2048
@@ -214,11 +214,11 @@ class TestFarm:
         verdict = report.verdicts[0]
         assert verdict.program.params["over_cap"] is True
         assert verdict.admission == "none"
-        assert verdict.refusals_confirmed == 2  # int64 + scaled
+        assert verdict.refusals_confirmed == 1  # scaled
 
     def test_scaled_admission_with_near_cap_multiplier(self):
-        # farm seed 9 draws den=999983 — admitted scaled, so only the
-        # forced int64 mode must refuse
+        # farm seed 9 draws den=999983 — admitted scaled, so no forced
+        # mode may refuse
         report = run_farm(
             seed=9, count=1, families=("mixed-lattice",), jobs=1, max_states=2048
         )
@@ -226,7 +226,7 @@ class TestFarm:
         verdict = report.verdicts[0]
         assert verdict.program.params["den"] == 999_983
         assert verdict.admission == "scaled"
-        assert verdict.refusals_confirmed == 1  # int64 only
+        assert verdict.refusals_confirmed == 0
 
     def test_injected_discrepancy_is_shrunk_and_archived(self, tmp_path):
         report = run_farm(

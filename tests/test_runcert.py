@@ -67,7 +67,7 @@ def _resign(cert, mutate):
 
 class TestEmission:
     def test_honest_certificate_verifies(self):
-        pts, cert = _certificate(GAMBLER, "gambler", explore="int64")
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
         report = verify_run_certificate(cert, pts=pts)
         assert report.ok, "\n".join(report.render())
 
@@ -77,8 +77,8 @@ class TestEmission:
         assert report.ok, "\n".join(report.render())
 
     def test_emission_is_deterministic(self):
-        _, a = _certificate(GAMBLER, "gambler", explore="int64")
-        _, b = _certificate(GAMBLER, "gambler", explore="int64")
+        _, a = _certificate(GAMBLER, "gambler", explore="scaled")
+        _, b = _certificate(GAMBLER, "gambler", explore="scaled")
         assert a.to_json() == b.to_json()
         assert a.digest == b.digest
 
@@ -96,7 +96,7 @@ class TestEmission:
         )
 
     def test_solver_evidence_rides_the_certificate(self):
-        pts, cert = _certificate(GAMBLER, "gambler", explore="int64")
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
         evidence = cert.payload["value_iteration"]["evidence"]
         assert evidence["requested"] == "auto"
         assert evidence["tol"] == 1e-12
@@ -104,7 +104,7 @@ class TestEmission:
 
 class TestTampering:
     def test_tampered_digest_rejected(self):
-        pts, cert = _certificate(GAMBLER, "gambler", explore="int64")
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
 
         def flip(payload):
             payload["exploration"]["levels"]["digests"][0] = "0" * 64
@@ -126,7 +126,7 @@ class TestTampering:
         assert "admission-bounds" in [name for name, _ in report.failures]
 
     def test_stale_fingerprint_rejected(self):
-        pts, cert = _certificate(GAMBLER, "gambler", explore="int64")
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
 
         def stale(payload):
             payload["fingerprints"]["fixpoint"] = "older-engine.v0"
@@ -135,8 +135,36 @@ class TestTampering:
         assert not report.ok
         assert "engine-fingerprint" in [name for name, _ in report.failures]
 
+    def test_unknown_explorer_label_rejected(self):
+        # a fraction-engine certificate carries no admission record, so a
+        # relabel must be caught by the label check itself
+        pts, cert = _certificate(GAMBLER, "gambler", explore="fraction")
+
+        def relabel(payload):
+            payload["exploration"]["explorer"] = "banana"
+
+        report = verify_run_certificate(_resign(cert, relabel), pts=pts)
+        assert not report.ok
+        assert "explorer-label" in [name for name, _ in report.failures]
+
+    @pytest.mark.parametrize(
+        "explore,requested",
+        [("fraction", "int64"), ("fraction", "scaled"), ("scaled", "fraction")],
+    )
+    def test_requested_mode_must_produce_the_explorer(self, explore, requested):
+        # int64 is no mode; a forced fraction run cannot yield a lattice
+        # model, nor a forced scaled run a fraction one
+        pts, cert = _certificate(GAMBLER, "gambler", explore=explore)
+
+        def rerequest(payload):
+            payload["exploration"]["requested"] = requested
+
+        report = verify_run_certificate(_resign(cert, rerequest), pts=pts)
+        assert not report.ok
+        assert [name for name, _ in report.failures] == ["explore-requested"]
+
     def test_unsigned_mutation_fails_integrity(self):
-        pts, cert = _certificate(GAMBLER, "gambler", explore="int64")
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
         payload = json.loads(json.dumps(cert.payload))
         payload["exploration"]["states"] += 1
         unsigned = RunCertificate(payload=payload, digest=cert.digest)
@@ -157,7 +185,7 @@ class TestCacheRoundTrip:
         return AnalysisTask.make(
             "exact",
             ProgramSpec.from_source(GAMBLER, name="gambler"),
-            params={"max_states": 10_000, "explore": "int64"},
+            params={"max_states": 10_000, "explore": "scaled"},
         )
 
     def test_sidecar_written_and_reattached(self, tmp_path):
@@ -227,7 +255,7 @@ class TestSerialVsPool:
             AnalysisTask.make(
                 "exact",
                 ProgramSpec.from_source(GAMBLER, name="gambler"),
-                params={"max_states": 10_000, "explore": "int64"},
+                params={"max_states": 10_000, "explore": "scaled"},
                 task_id="gambler",
             ),
             AnalysisTask.make(

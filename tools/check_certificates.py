@@ -10,9 +10,10 @@ across explorers is pinned by ``tests/test_fixpoint_int.py``.)
 
 Sections:
 
-* **explorer grid** — the explorer workloads through their forced fast
-  mode (``scaled``/``int64``); each certificate must verify both against
-  the in-memory PTS and *self-contained* (checker recompiles the source
+* **explorer grid** — the explorer workloads through the forced lattice
+  mode ``scaled`` (the integer-lattice control runs at scale 1 and is
+  labelled ``int64``); each certificate must verify both against the
+  in-memory PTS and *self-contained* (checker recompiles the source
   embedded in the certificate);
 * **solver grid** — the solver workloads through ``sweep`` and ``auto``;
   evidence checks cover the witness hash, the slack ladder and the
@@ -22,9 +23,10 @@ Sections:
   budget ``SLACK_CAP``; on the slow-mixing chain it must additionally be
   fully certified and tighter-or-equal;
 * **corruption drills** — a bit-flipped file, a tampered frontier
-  digest, a tampered admission multiplier and a stale engine
-  fingerprint (the latter three re-signed, so only the semantic check
-  can catch them) must each be *rejected*.
+  digest, a tampered admission multiplier, a stale engine fingerprint
+  and a fraction-engine certificate relabelled with an unknown explorer
+  (the latter four re-signed, so only the semantic check can catch
+  them) must each be *rejected*.
 
 Exit status 0 when every certificate verifies, every bracket agrees and
 every corruption is caught, 1 otherwise.  Needs ``repro`` importable
@@ -37,9 +39,9 @@ from __future__ import annotations
 import json
 import sys
 
-#: name -> (source, max_states, integer_mode, forced explore mode).
-#: Budgets are chosen so every workload truncates or absorbs within a few
-#: seconds.
+#: name -> (source, max_states, integer_mode), each forced through the
+#: lattice engine (``explore="scaled"``).  Budgets are chosen so every
+#: workload truncates or absorbs within a few seconds.
 WORKLOADS = {
     # Table 1's 3DWalk shape (0.1-steps, scale-10 lattice), truncated
     "3dwalk-slice": (
@@ -54,7 +56,6 @@ WORKLOADS = {
         "            prob(0.5): z := z + 0.1\n",
         4_000,
         False,
-        "scaled",
     ),
     # Table 1's Robot shape (1.414 displacements, +-0.05 noise, scale 500)
     "robot-slice": (
@@ -69,7 +70,6 @@ WORKLOADS = {
         "assert x - ex <= 1.8",
         4_000,
         False,
-        "scaled",
     ),
     # mixed lattice: integral counter + half-integer accumulator, with a
     # guard boundary hit exactly at a fractional state
@@ -80,16 +80,14 @@ WORKLOADS = {
         "assert x >= 8",
         10_000,
         False,
-        "scaled",
     ),
-    # integer lattice control through the plain int64 frontier engine
+    # integer-lattice control: the lattice engine at scale 1 (label int64)
     "gambler-int": (
         "x := 3\nwhile x >= 1 and x <= 9:\n    switch:\n"
         "        prob(0.5): x := x + 1\n        prob(0.5): x := x - 1\n"
         "assert x <= 0",
         20_000,
         True,
-        "int64",
     ),
 }
 
@@ -202,11 +200,11 @@ def check_explorer_grid(failures):
     from repro.lang import compile_source
 
     certs = []
-    for name, (source, max_states, integer_mode, explore) in WORKLOADS.items():
+    for name, (source, max_states, integer_mode) in WORKLOADS.items():
         pts = compile_source(source, name=name, integer_mode=integer_mode).pts
-        model = build_sparse_model(pts, max_states=max_states, explore=explore)
+        model = build_sparse_model(pts, max_states=max_states, explore="scaled")
         result = iterate_model(model)
-        cert = _emit(pts, model, result, name, source, integer_mode, max_states, explore)
+        cert = _emit(pts, model, result, name, source, integer_mode, max_states, "scaled")
         report = verify_run_certificate(cert, pts=pts)
         # self-contained: the checker recompiles the embedded source
         standalone = verify_certificate_text(cert.to_json())
@@ -261,6 +259,19 @@ def check_solver_grid(failures):
             )
 
 
+def _fraction_certificate(name):
+    """One workload through the exact Fraction engine: the relabel drill
+    needs a certificate without an admission record."""
+    from repro.core.fixpoint import build_sparse_model, iterate_model
+    from repro.lang import compile_source
+
+    source, max_states, integer_mode = WORKLOADS[name]
+    pts = compile_source(source, name=name, integer_mode=integer_mode).pts
+    model = build_sparse_model(pts, max_states=max_states, explore="fraction")
+    result = iterate_model(model)
+    return _emit(pts, model, result, name, source, integer_mode, max_states, "fraction")
+
+
 def check_corruption(cert, failures):
     """Every drill must *fail* verification; passing one is a gate bug."""
     from repro.core.runcert import verify_certificate_text
@@ -278,6 +289,9 @@ def check_corruption(cert, failures):
     def stale(payload):
         payload["fingerprints"]["fixpoint"] = "pre-certificate-engine.v0"
 
+    def relabel(payload):
+        payload["exploration"]["explorer"] = "banana"
+
     raw = bytearray(cert.to_json().encode("utf-8"))
     raw[len(raw) // 2] ^= 0x20  # flip one bit mid-file
     drills = [
@@ -285,6 +299,12 @@ def check_corruption(cert, failures):
         ("tampered digest", verify_certificate_text(_resign(cert, flip).to_json())),
         ("tampered bounds", verify_certificate_text(_resign(cert, bounds).to_json())),
         ("stale fingerprint", verify_certificate_text(_resign(cert, stale).to_json())),
+        (
+            "unknown explorer",
+            verify_certificate_text(
+                _resign(_fraction_certificate("gambler-int"), relabel).to_json()
+            ),
+        ),
     ]
     for label, report in drills:
         caught = not report.ok
@@ -311,7 +331,7 @@ def main() -> int:
     print(
         f"\ncertificate gate ok: {len(WORKLOADS)} explorer workload(s) + "
         f"{len(SOLVER_WORKLOADS)} solver workload(s) x 2 solvers "
-        "verified; 4 corruption drills rejected"
+        "verified; 5 corruption drills rejected"
     )
     return 0
 
