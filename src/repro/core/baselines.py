@@ -102,10 +102,7 @@ def synthesize_bounded_rsm(
 
     sampling_means = {r: d.mean() for r, d in pts.distributions.items()}
 
-    for t_index, t in enumerate(pts.transitions):
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for t_index, t, psi in invariants.premises():
         decrease_coeffs: Dict[str, LinExpr] = {
             v: -template.coeff(t.source, v) for v in pts.program_vars
         }

@@ -122,11 +122,7 @@ def canonicalize(
     quantified implication is vacuous).
     """
     constraints: List[CanonicalConstraint] = []
-    for t in pts.transitions:
-        psi = invariants.of(t.source).intersect(t.guard)
-        psi = psi.with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for _, t, psi in invariants.premises():
         terms = []
         for fork in t.forks:
             term = _term_for_fork(pts, template, t.source, fork)

@@ -187,9 +187,7 @@ class _CertificateBase:
     ) -> _CheckReport:
         rng = random.Random(seed)
         report = _CheckReport()
-        for t in self.pts.transitions:
-            psi = self.invariants.of(t.source).intersect(t.guard)
-            psi = psi.with_variables(self.pts.program_vars)
+        for _, t, psi in self.invariants.premises():
             for point in sample_psi_points(psi, rng, count=samples):
                 lhs = log_ptf_transition(self.pts, self.state_function, t, point)
                 rhs = self.state_function.log_value(t.source, point)
@@ -256,12 +254,11 @@ class UpperBoundCertificate(_CertificateBase):
             failures.append("(C1) eta(init) > 0")
         # (C2) at every state entering l_fail (the form the synthesis encodes
         # and the only form Theorem 5.1's proof needs)
-        for t in pts.transitions:
+        premises = self.invariants.premises()
+        for _, t, psi in premises:
             fail_forks = [f for f in t.forks if f.destination == pts.fail_location]
             if not fail_forks:
                 continue
-            psi = self.invariants.of(t.source).intersect(t.guard)
-            psi = psi.with_variables(pts.program_vars)
             for point in sample_psi_points(psi, rng, count=samples):
                 for fork in fail_forks:
                     for draws in _support_draws(pts, rng):
@@ -275,9 +272,7 @@ class UpperBoundCertificate(_CertificateBase):
                             failures.append(f"(C2) eta < 0 entering l_fail at {nxt}")
                             break
         # (C3) + (C4)
-        for t in pts.transitions:
-            psi = self.invariants.of(t.source).intersect(t.guard)
-            psi = psi.with_variables(pts.program_vars)
+        for _, t, psi in premises:
             for point in sample_psi_points(psi, rng, count=samples):
                 src_val = eta.exponent(t.source, point)
                 expected = 0.0

@@ -102,9 +102,7 @@ def _eliminate(
     """Apply Proposition 1 to every canonical constraint, filling ``program``."""
     eliminated: List[_EliminatedConstraint] = []
     for k, con in enumerate(constraints):
-        dec = decompose(con.psi)
-        if dec.is_empty:
-            continue  # vacuous (the invariant proves the guard unreachable)
+        dec = decompose(con.psi)  # nonempty: canonicalize keeps only live premises
         label = f"{con.transition_name}#{k}"
         # (D1): polar form of the cone condition, on the cone's generators;
         # rows are collected per canonical constraint and emitted together.

@@ -102,12 +102,10 @@ def _build_constraints(
     # express relational facts like 3DWalk's x+y+z ~ 1000 slab) and remains
     # a linear Farkas block.
     sampling_box = _support_box(pts) if pts.distributions else None
-    for t_index, t in enumerate(pts.transitions):
+    premises = invariants.premises()
+    for t_index, t, psi in premises:
         fail_forks = [f for f in t.forks if f.destination == pts.fail_location]
         if not fail_forks:
-            continue
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
             continue
         extended = psi if sampling_box is None else psi.intersect(sampling_box)
         for f_index, fork in enumerate(fail_forks):
@@ -122,10 +120,7 @@ def _build_constraints(
                 )
             )
 
-    for t_index, t in enumerate(pts.transitions):
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for t_index, t, psi in premises:
         label = f"T{t_index}:{t.name}"
 
         # (C3) sum_j p_j E[eta_dst(upd_j(v, r))] <= eta_src(v) - eps on Psi
@@ -187,13 +182,11 @@ def _build_constraints(
 
 def _fail_reachable(pts: PTS, invariants: InvariantMap) -> bool:
     """True iff some transition into the failure sink has a nonempty premise."""
-    for t in pts.transitions:
-        if not any(f.destination == pts.fail_location for f in t.forks):
-            continue
-        psi = invariants.of(t.source).intersect(t.guard)
-        if not psi.is_empty():
-            return True
-    return False
+    return any(
+        f.destination == pts.fail_location
+        for _, t, _ in invariants.premises()
+        for f in t.forks
+    )
 
 
 def _assemble_lp(

@@ -32,7 +32,7 @@ from repro.errors import ModelError
 from repro.polyhedra.constraints import AffineIneq, Polyhedron
 from repro.polyhedra.dd import polyhedron_generators
 from repro.polyhedra.linexpr import LinExpr
-from repro.pts.model import PTS
+from repro.pts.model import PTS, Transition
 
 __all__ = ["InvariantMap", "generate_interval_invariants"]
 
@@ -52,6 +52,7 @@ class InvariantMap:
             if loc not in pts.locations:
                 raise ModelError(f"invariant for unknown location {loc!r}")
             self._map[loc] = poly.with_variables(pts.program_vars)
+        self._premises: Optional[Tuple[Tuple[int, Transition, Polyhedron], ...]] = None
 
     @property
     def pts(self) -> PTS:
@@ -63,6 +64,20 @@ class InvariantMap:
         if poly is None:
             return Polyhedron.universe(self._pts.program_vars)
         return poly
+
+    def premises(self) -> Tuple[Tuple[int, Transition, Polyhedron], ...]:
+        """``(index, transition, Psi = I(l_src) /\\ guard)`` for each transition
+        whose premise is nonempty (an empty one is unreachable by the
+        invariant), in transition order.  Built once per map, so every
+        synthesis family reads the same ``Psi`` objects."""
+        if self._premises is None:
+            pts = self._pts
+            premises = (
+                (i, t, self.of(t.source).intersect(t.guard).with_variables(pts.program_vars))
+                for i, t in enumerate(pts.transitions)
+            )
+            self._premises = tuple(p for p in premises if not p[2].is_empty())
+        return self._premises
 
     def set(self, location: str, poly: Polyhedron) -> "InvariantMap":
         """Return a copy with the invariant at ``location`` replaced."""

@@ -327,10 +327,7 @@ def polynomial_hoeffding_synthesis(
             templates[pts.fail_location], fail_inv, lp, handelman_degree, "C2"
         )
     # (C3) + (C4) per transition
-    for t_index, t in enumerate(pts.transitions):
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for t_index, t, psi in invariants.premises():
         expected = Polynomial.constant(0)
         for fork in t.forks:
             mapping = {v: fork.update.expr_for(v) for v in pts.program_vars}

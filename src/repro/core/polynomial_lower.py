@@ -132,10 +132,7 @@ def polynomial_exp_low_syn(
         handelman_constraints(m_poly - templates[loc], inv, lp, handelman_degree, f"bound@{loc}")
 
     # Jensen-strengthened post fixed-point per transition
-    for t_index, t in enumerate(pts.transitions):
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for t_index, t, psi in invariants.premises():
         kept = [f for f in t.forks if f.destination != pts.term_location]
         q = sum((f.probability for f in kept), Fraction(0))
         if q == 0:

@@ -96,6 +96,9 @@ _ULP = 2.0**-53  # unit roundoff of IEEE double arithmetic
 _LATTICE_EXPLORERS = ("int64", "scaled-int64")
 _EXPLORERS = ("fraction",) + _LATTICE_EXPLORERS
 _REQUESTS = ("auto", "scaled", "fraction")
+#: the solvers a bracket may come from, and the modes a run may have asked for
+_VI_SOLVERS = ("sweep", "direct")
+_VI_REQUESTS = ("auto", "sweep")
 
 _BOUNDS = {
     "value_limit": _VALUE_LIMIT,
@@ -697,6 +700,17 @@ def _check_value_iteration(report, vi) -> None:
         f"bracket [{lower}, {upper}] is not a probability bracket",
     )
     evidence = vi.get("evidence")
+    solver, stated = vi.get("solver"), evidence if isinstance(evidence, dict) else {}
+    requested, oracle = stated.get("requested"), stated.get("oracle")
+    adopted = bool(stated.get("adopted_lower")) or bool(stated.get("adopted_upper"))
+    report.add("vi-solver", solver in _VI_SOLVERS, f"unknown solver {solver!r}")
+    why = f"solver {solver!r} disagrees with the adopted sides"
+    report.add("vi-solver-adoption", (solver == "direct") == adopted, why)
+    why = f"certified bracket from solver {solver!r}"
+    report.add("vi-certified-direct", not vi.get("certified") or solver == "direct", why)
+    why = f"requested solver {requested!r} cannot run oracle {oracle!r}"
+    ok = requested in _VI_REQUESTS and (requested != "sweep" or oracle is None)
+    report.add("vi-requested", ok, why)
     if not vi.get("certified"):
         return
     if not report.add(
@@ -750,11 +764,13 @@ def verify_run_certificate(cert: RunCertificate, pts=None) -> VerificationReport
 
     Checks, in order: payload integrity (digest), structure, program +
     engine fingerprints, the explorer label and the requested mode that
-    produced it, the admission record against a from-scratch
+    produced it, the state count against the budget (a truncated run
+    stops exactly at it), the admission record against a from-scratch
     re-derivation, every per-level frontier digest replayed from the
     embedded state table (plus the init state and the level structure),
     state well-formedness against the re-derived lattice, and the
-    value-iteration evidence.  No exploration or sweeping runs.
+    value-iteration evidence (the solver label agrees with the adopted
+    sides and the requested mode).  No exploration or sweeping runs.
     """
     report = VerificationReport()
     payload = cert.payload
@@ -806,6 +822,11 @@ def verify_run_certificate(cert: RunCertificate, pts=None) -> VerificationReport
         and (requested != "scaled" or explorer in _LATTICE_EXPLORERS),
         f"requested mode {requested!r} cannot produce explorer {explorer!r}",
     )
+    states, cap, cut = (exploration.get(k) for k in ("states", "max_states", "truncated"))
+    fits = isinstance(states, int) and isinstance(cap, int) and 1 <= states <= cap
+    report.add("states-budget", fits, f"{states} states outside the budget [1, {cap}]")
+    why = f"truncated={cut!r} with {states} of {cap} states"
+    report.add("truncation", cut is False or (cut is True and states == cap), why)
     if explorer in _LATTICE_EXPLORERS:
         derived, why = derive_admission(pts)
         if report.add(
@@ -837,7 +858,6 @@ def verify_run_certificate(cert: RunCertificate, pts=None) -> VerificationReport
         admission_for_states = None
 
     levels = exploration.get("levels") or {}
-    states = exploration.get("states")
     nv = len(pts.program_vars)
     width = 1 + 2 * nv
     try:

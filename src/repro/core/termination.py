@@ -99,10 +99,7 @@ def prove_almost_sure_termination(
             encoder.encode_implication(inv, coeffs, template.const(loc), label=f"nonneg@{loc}")
         )
 
-    for t_index, t in enumerate(pts.transitions):
-        psi = invariants.of(t.source).intersect(t.guard).with_variables(pts.program_vars)
-        if psi.is_empty():
-            continue
+    for t_index, t, psi in invariants.premises():
         # sum_j p_j rho_dst(E[upd_j]) <= rho_src(v) - 1
         coeffs: Dict[str, LinExpr] = {
             v: -template.coeff(t.source, v) for v in pts.program_vars

@@ -79,9 +79,9 @@ def split_cells(
     """Disjoint polyhedral cells where ``cond`` is true / false.
 
     Decision-tree expansion over the distinct atoms; empty cells are pruned
-    with an exact LP check.  The union of all returned cells covers the
-    whole space and the true-cells cover exactly the (closed relaxation of
-    the) satisfying region.
+    with the exact double-description check.  The union of all returned
+    cells covers the whole space and the true-cells cover exactly the
+    (closed relaxation of the) satisfying region.
     """
     atoms = ast.atoms_of(cond)
     if len(atoms) > 12:

@@ -2,8 +2,7 @@
 
 Two interfaces are provided:
 
-* a low-level matrix interface (:func:`solve_lp`) used by the polyhedra
-  substrate for emptiness/boundedness queries, and
+* a low-level matrix interface (:func:`solve_lp`), and
 * a named-variable interface (:class:`LinearProgram`) used by the synthesis
   algorithms, which assemble constraints symbolically as
   :class:`~repro.polyhedra.linexpr.LinExpr` objects over unknown coefficients

@@ -2,8 +2,10 @@
 
 A :class:`AffineIneq` is an exact constraint ``expr <= 0``; a
 :class:`Polyhedron` is a finite conjunction of such constraints over a fixed
-variable tuple, i.e. ``{v : M v <= d}``.  Queries that need optimization
-(emptiness, implication, boundedness) go through the LP layer.
+variable tuple, i.e. ``{v : M v <= d}``.  Queries that need more than
+pointwise evaluation (emptiness, boundedness, maximization, implication)
+are answered exactly from the polyhedron's V-representation, computed once
+per instance by the double description method (:mod:`repro.polyhedra.dd`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
+from repro.polyhedra import dd
 from repro.polyhedra.linexpr import LinExpr
 from repro.utils.numbers import Number, as_fraction
 
@@ -109,11 +112,10 @@ class Polyhedron:
                     f"constraint {ineq} mentions variables {sorted(extra)} "
                     f"outside the polyhedron dimension {self.variables}"
                 )
-        # memo slots for the LP-backed predicates; instances are immutable by
-        # convention and synthesis asks the same polytope repeatedly (one
-        # Handelman block per condition over the same premise)
-        self._empty_memo: Optional[bool] = None
-        self._bounded_memo: Optional[bool] = None
+        # memo slot for the V-representation every query reads; instances
+        # are immutable by convention and synthesis asks the same premise
+        # repeatedly (emptiness, then Minkowski decomposition, then sampling)
+        self._generators: Optional[dd.GeneratorSet] = None
 
     # -- constructors -------------------------------------------------------------
     @staticmethod
@@ -179,69 +181,48 @@ class Polyhedron:
         """Float membership test."""
         return all(ineq.holds_float(valuation, tol) for ineq in self.inequalities)
 
-    # -- LP-backed queries --------------------------------------------------------------
-    def _lp_data(self):
-        m, d = self.matrix_form()
-        a_ub = [[float(x) for x in row] for row in m]
-        b_ub = [float(x) for x in d]
-        return a_ub, b_ub
+    # -- exact queries -------------------------------------------------------------------
+    def generators(self) -> dd.GeneratorSet:
+        """The V-representation ``conv(points) + cone(rays) + span(lines)``
+        (double description, exact, memoized).  Shared: never mutate it."""
+        if self._generators is None:
+            self._generators = dd.polyhedron_generators(self)
+        return self._generators
 
     def is_empty(self) -> bool:
-        """True iff the polyhedron has no points (LP feasibility, memoized)."""
-        from repro.numeric.lp import solve_lp
-
-        if not self.inequalities:
-            return False
-        if self._empty_memo is None:
-            a_ub, b_ub = self._lp_data()
-            n = len(self.variables)
-            result = solve_lp([0.0] * n, a_ub, b_ub)
-            self._empty_memo = result.status == "infeasible"
-        return self._empty_memo
-
-    def maximize(self, objective: LinExpr) -> Tuple[str, Optional[float]]:
-        """``(status, value)`` for ``max objective`` over the polyhedron.
-
-        ``status`` is "optimal", "unbounded" or "infeasible" (value ``None``
-        unless optimal).
-        """
-        from repro.numeric.lp import solve_lp
-
-        a_ub, b_ub = self._lp_data()
-        c = [-float(objective.coeff(v)) for v in self.variables]
-        result = solve_lp(c, a_ub, b_ub)
-        if result.status == "optimal":
-            return "optimal", -result.objective + float(objective.const)
-        return result.status, None
-
-    def implies(self, ineq: AffineIneq, tol: float = 1e-8) -> bool:
-        """True iff every point of the polyhedron satisfies ``ineq``.
-
-        Decided by maximizing ``ineq.expr``; an empty polyhedron implies
-        everything.
-        """
-        status, value = self.maximize(ineq.expr)
-        if status == "infeasible":
-            return True
-        if status == "unbounded":
-            return False
-        return value <= tol
+        """True iff the polyhedron has no points."""
+        return not self.generators().points
 
     def is_bounded(self) -> bool:
-        """True iff the polyhedron is a polytope (or empty); memoized."""
-        if self._bounded_memo is None:
-            self._bounded_memo = self._compute_bounded()
-        return self._bounded_memo
+        """True iff the polyhedron is a polytope (or empty)."""
+        gens = self.generators()
+        return not gens.points or gens.is_polytope
 
-    def _compute_bounded(self) -> bool:
-        if self.is_empty():
-            return True
-        for v in self.variables:
-            for sign in (1, -1):
-                status, _ = self.maximize(LinExpr({v: sign}))
-                if status == "unbounded":
-                    return False
-        return True
+    def maximize(self, objective: LinExpr) -> Tuple[str, Optional[Fraction]]:
+        """``(status, value)`` for ``max objective`` over the polyhedron.
+
+        ``status`` is "optimal" (with the exact maximum over the generator
+        points), "unbounded" (a ray raises the objective or a line moves
+        it) or "infeasible" (no points); the value is ``None`` unless
+        optimal.
+        """
+        gens = self.generators()
+        if not gens.points:
+            return "infeasible", None
+        c = [objective.coeff(v) for v in self.variables]
+
+        def dot(vec) -> Fraction:
+            return sum((a * x for a, x in zip(c, vec) if a), Fraction(0))
+
+        if any(dot(r) > 0 for r in gens.rays) or any(dot(l) != 0 for l in gens.lines):
+            return "unbounded", None
+        return "optimal", max(dot(p) for p in gens.points) + objective.const
+
+    def implies(self, ineq: AffineIneq) -> bool:
+        """True iff every point of the polyhedron satisfies ``ineq``; an
+        empty polyhedron implies everything."""
+        status, value = self.maximize(ineq.expr)
+        return status == "infeasible" or (status == "optimal" and value <= 0)
 
     # -- dunder ------------------------------------------------------------------------
     def __len__(self) -> int:

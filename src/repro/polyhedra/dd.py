@@ -23,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import ModelError
-from repro.polyhedra.constraints import Polyhedron
 from repro.utils.numbers import normalize_row
+
+if TYPE_CHECKING:  # constraints imports this module: Polyhedron queries read it
+    from repro.polyhedra.constraints import Polyhedron
 
 __all__ = ["GeneratorSet", "cone_generators", "polyhedron_generators"]
 
@@ -185,7 +187,7 @@ def _dedupe(
 
 
 def polyhedron_generators(poly: Polyhedron) -> GeneratorSet:
-    """V-representation of ``poly`` via homogenization + double description."""
+    """V-representation of ``poly`` (uncached: see ``Polyhedron.generators``)."""
     m_rows, d = poly.matrix_form()
     n = len(poly.variables)
     hom_rows: List[List[Fraction]] = []

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from repro.polyhedra.constraints import Polyhedron
-from repro.polyhedra.dd import GeneratorSet, polyhedron_generators
+from repro.polyhedra.dd import GeneratorSet
 
 __all__ = ["MinkowskiDecomposition", "decompose"]
 
@@ -65,8 +65,8 @@ class MinkowskiDecomposition:
 
 
 def decompose(poly: Polyhedron) -> MinkowskiDecomposition:
-    """Compute ``P = Q + C`` exactly via the double description method."""
-    generators = polyhedron_generators(poly)
+    """Compute ``P = Q + C`` exactly from ``poly``'s memoized generators."""
+    generators = poly.generators()
     return MinkowskiDecomposition(
         polyhedron=poly,
         polytope_points=generators.point_valuations(),

@@ -3,9 +3,9 @@
 The paper assumes (Section 2, "Additional Assumption") that transition
 guards out of each location are *mutually exclusive* and *complete*.  Exact
 completeness of a union of polyhedra is expensive to decide in general; we
-check exclusivity exactly up to boundaries (full-dimensional overlap is
-detected via an interior LP probe) and completeness statistically on sampled
-valuations, which catches every compiler bug we care about in practice.
+check exclusivity exactly up to boundaries (full-dimensional overlap leaves
+the intersection nonempty after shrinking) and completeness statistically on
+sampled valuations, which catches every compiler bug we care about in practice.
 """
 
 from __future__ import annotations

@@ -151,8 +151,10 @@ class TestBenchWorkflow:
         assert "push" not in triggers
         # pull requests run the bench only when they touch the exploration
         # layers, the run-certificate checker every bench run verifies
-        # with, the §5.2 solve or the §5.1 Ser search, and only through a
-        # paths filter (never the whole pull-request stream)
+        # with, the §5.2 solve, the §5.1 Ser search, or the polyhedral
+        # queries and invariant premises that filter both sections'
+        # constraints, and only through a paths filter (never the whole
+        # pull-request stream)
         pr = triggers["pull_request"]
         assert isinstance(pr, dict) and pr.get("paths")
         assert "src/repro/core/fixpoint*.py" in pr["paths"]
@@ -163,6 +165,8 @@ class TestBenchWorkflow:
         assert "src/repro/core/explinsyn.py" in pr["paths"]
         assert "src/repro/core/hoeffding.py" in pr["paths"]
         assert "src/repro/numeric/ser.py" in pr["paths"]
+        assert "src/repro/polyhedra/**" in pr["paths"]
+        assert "src/repro/core/invariants.py" in pr["paths"]
 
     def test_bench_step_is_non_blocking_and_respects_gate_factor(self):
         data, _ = _load("bench.yml")

@@ -1,10 +1,11 @@
 """Tests for the double description method and Minkowski decomposition.
 
-The property tests cross-validate the V-representation against LP queries on
-the H-representation: every generator must lie in the polyhedron / recession
-cone, and random convex combinations of generators must lie in the
-polyhedron (soundness); random polyhedron points must be dominated by some
-vertex in every linear direction (completeness witness for polytopes).
+The property tests cross-validate the V-representation against HiGHS on
+the H-representation (through ``test_polyhedra``'s ``solve_lp`` helpers,
+never through ``Polyhedron``'s own queries, which read these generators):
+every generator must lie in the polyhedron / recession cone, and random
+convex combinations of generators must lie in the polyhedron (soundness);
+the LP optimum of a polytope must be attained at a vertex (completeness).
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.polyhedra import (
 )
 from repro.polyhedra.dd import cone_generators
 from repro.polyhedra.linexpr import LinExpr, var
+from test_polyhedra import HIGHS_TOL, highs_is_empty, highs_maximize
 
 
 class TestConeGenerators:
@@ -176,8 +178,14 @@ def test_generators_sound_random(seed):
     for l in g.lines:
         assert cone.contains(dict(zip(g.variables, l)))
         assert cone.contains({k: -v for k, v in zip(g.variables, l)})
-    # emptiness agrees with the LP decision
-    assert g.is_empty == poly.is_empty()
+    # emptiness agrees with HiGHS, and so does the exact maximum
+    assert g.is_empty == highs_is_empty(poly)
+    objective = LinExpr({name: Fraction(rng.randint(-3, 3)) for name in g.variables})
+    status, value = poly.maximize(objective)
+    ref_status, ref_value = highs_maximize(poly, objective)
+    assert status == ref_status
+    if status == "optimal":
+        assert abs(float(value) - ref_value) <= HIGHS_TOL
     # random convex combination + cone elements stay inside
     if g.points:
         weights = [rng.random() for _ in g.points]
@@ -209,11 +217,11 @@ def test_polytope_vertices_attain_lp_optimum(seed):
     poly = box.and_ineqs([extra])
     g = polyhedron_generators(poly)
     if g.is_empty:
-        assert poly.is_empty()
+        assert highs_is_empty(poly)
         return
     assert g.is_polytope
     objective = LinExpr({name: Fraction(rng.randint(-3, 3)) for name in names})
-    status, lp_value = poly.maximize(objective)
+    status, lp_value = highs_maximize(poly, objective)
     assert status == "optimal"
     vertex_value = max(
         float(objective.evaluate(dict(zip(g.variables, p)))) for p in g.points

@@ -11,6 +11,7 @@ from repro.errors import ModelError
 from repro.numeric.lp import LinearProgram
 from repro.polyhedra import AffineIneq, FarkasEncoder, Polyhedron, TemplateConstraint
 from repro.polyhedra.linexpr import LinExpr, var
+from test_polyhedra import HIGHS_TOL, highs_maximize
 
 
 def _solve_block(constraints):
@@ -130,8 +131,9 @@ class TestConeCondition:
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_farkas_agrees_with_lp_implication(seed):
-    """Farkas feasibility must coincide with the LP implication check on
-    random nonempty polyhedra and random constant targets."""
+    """Farkas feasibility and the exact ``implies`` must both coincide with
+    HiGHS's implication check on random nonempty polyhedra and random
+    constant targets."""
     rng = random.Random(seed)
     n = rng.randint(1, 2)
     names = [f"v{i}" for i in range(n)]
@@ -141,7 +143,9 @@ def test_farkas_agrees_with_lp_implication(seed):
     target_coeffs = {name: Fraction(rng.randint(-2, 2)) for name in names}
     target_rhs = Fraction(rng.randint(-5, 10))
     ineq = AffineIneq.le(LinExpr(target_coeffs), target_rhs)
-    truth = poly.implies(ineq)
+    status, value = highs_maximize(poly, ineq.expr)
+    truth = status == "infeasible" or (status == "optimal" and value <= HIGHS_TOL)
+    assert poly.implies(ineq) == truth
 
     enc = FarkasEncoder()
     block = enc.encode_implication(

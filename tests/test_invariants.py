@@ -21,6 +21,7 @@ from repro.fuzz import ALL_FAMILIES, corpus_plan
 from repro.lang import compile_source
 from repro.polyhedra import AffineIneq, LinExpr, Polyhedron, var
 from repro.programs import BENCHMARKS, get_benchmark
+from test_polyhedra import HIGHS_TOL, highs_is_empty, highs_maximize
 
 RACE = """
 x := 40
@@ -130,9 +131,6 @@ class TestIntervalGeneration:
 # box ∩ guard against the HiGHS oracle
 # ---------------------------------------------------------------------------
 
-#: fixed before looking at any result: HiGHS's primal feasibility tolerance
-#: is 1e-7, and every case below has small rational data
-HIGHS_TOL = 1e-7
 BOX_VARS = ("a", "b", "c", "d")
 
 
@@ -214,13 +212,13 @@ class TestGuardTighteningAgainstLP:
             got = _tighten_box_by_guard(box, guard)
             oracle = Polyhedron.from_box(box).intersect(guard)
             context = f"case {case}: box={box} guard={guard}"
-            assert (got is None) == oracle.is_empty(), context
+            assert (got is None) == highs_is_empty(oracle), context
             if got is None:
                 continue
             for v in BOX_VARS:
                 lo, hi = got[v]
                 for sign, bound in ((1, hi), (-1, lo)):
-                    status, value = oracle.maximize(LinExpr({v: sign}))
+                    status, value = highs_maximize(oracle, LinExpr({v: sign}))
                     if status == "unbounded":
                         assert bound is None, (context, v, sign)
                     else:

@@ -1,5 +1,13 @@
-"""Tests for affine inequalities and H-representation polyhedra."""
+"""Tests for affine inequalities and H-representation polyhedra.
 
+The exact queries (emptiness, boundedness, maximization) are checked
+against HiGHS through :func:`highs_maximize` and friends, which call
+``solve_lp`` directly; the other suites that need an LP oracle for a
+polyhedron import them from here, so no test compares the double
+description with itself.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +15,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.polyhedra import AffineIneq, Polyhedron
+from repro.numeric.lp import solve_lp
+from repro.polyhedra import AffineIneq, LinExpr, Polyhedron
 from repro.polyhedra.linexpr import var
+
+#: fixed before looking at any result: HiGHS's primal feasibility tolerance
+#: is 1e-7, and every case below has small rational data
+HIGHS_TOL = 1e-7
+
+
+# -- the HiGHS reference ------------------------------------------------------------
+
+
+def _highs(poly, objective, bounds=None):
+    """HiGHS's ``max objective`` over ``poly`` (within ``bounds``); a
+    zero-dimensional polyhedron gets one unconstrained, unused column."""
+    m, d = poly.matrix_form()
+    pad = [0.0] * (len(poly.variables) == 0)
+    a_ub = [[float(x) for x in row] + pad for row in m]
+    c = [-float(objective.coeff(v)) for v in poly.variables] + pad
+    result = solve_lp(c, a_ub, [float(x) for x in d], bounds=bounds)
+    if result.status == "optimal":
+        return "optimal", -result.objective + float(objective.const)
+    return result.status, None
+
+
+def highs_is_empty(poly):
+    """True iff HiGHS finds ``poly`` infeasible."""
+    return _highs(poly, LinExpr.constant(0))[0] == "infeasible"
+
+
+def highs_maximize(poly, objective):
+    """``(status, value)`` of ``max objective`` over ``poly`` by HiGHS.
+
+    Feasibility is decided first, then unboundedness as a bounded LP: the
+    objective is unbounded iff it rises along the recession cone within
+    the unit box.  Asked directly, HiGHS's presolve reports max -x0 over
+    the thin unbounded slab 5 - 1/999983 <= 3x0 - x1 - 2x2 <= 5 as
+    infeasible.
+    """
+    if highs_is_empty(poly):
+        return "infeasible", None
+    unit = [(-1.0, 1.0)] * len(poly.variables) or None
+    _, rise = _highs(poly.recession_cone(), objective - objective.const, unit)
+    if rise > HIGHS_TOL:
+        return "unbounded", None
+    return _highs(poly, objective)
 
 
 class TestAffineIneq:
@@ -146,3 +198,86 @@ class TestPolyhedronLPQueries:
 def test_box_membership_matches_interval(lo, width, x):
     p = Polyhedron.from_box({"x": (lo, lo + width)})
     assert p.contains({"x": x}) == (lo <= x <= lo + width)
+
+
+# -- exact queries against HiGHS ----------------------------------------------------
+
+#: fz-lattice-strain's lattice step: slabs this thin are nonempty, and
+#: polyhedra empty by this much are empty, for both engines
+STEP = Fraction(1, 999983)
+KINDS = (
+    "random", "constant-false", "equality", "slab", "empty-by-step", "unbounded", "lines", "box"
+)
+
+
+def _agreement_case(rng, case):
+    """Case ``case``: 0-4 variables, and one kind of structure from ``KINDS``."""
+    names = [f"x{i}" for i in range(case % 5)]
+    kind = KINDS[(case // 5) % len(KINDS)]
+
+    def expr(among=names):
+        return LinExpr({v: rng.randint(-3, 3) for v in among})
+
+    def const():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+    rows = [AffineIneq.le(expr(), const()) for _ in range(rng.randint(0, 3))]
+    if kind == "constant-false":
+        rows.append(AffineIneq(LinExpr.constant(rng.choice((STEP, Fraction(1))))))
+    elif kind == "equality":
+        rows.extend(AffineIneq.eq_pair(expr(), const()))
+    elif kind in ("slab", "empty-by-step"):
+        a, c = expr(), const()
+        width = STEP if kind == "slab" else -STEP
+        rows += [AffineIneq.ge(a, c), AffineIneq.le(a, c + width)]
+    elif kind == "unbounded":
+        rows = [AffineIneq.ge(var(v), const()) for v in names]
+    elif kind == "lines":  # the last coordinate is free, and so is (1, 1) in (x0, x1)
+        among = names[:-1]
+        rows = [AffineIneq.le(expr(among), const()) for _ in range(rng.randint(1, 3))]
+        if len(among) >= 2:
+            x0, x1 = among[:2]
+            rows = [
+                AffineIneq(r.expr - (r.expr.coeff(x0) + r.expr.coeff(x1)) * var(x1)) for r in rows
+            ]
+    elif kind == "box":
+        for v in names:
+            lo = const()
+            rows += [AffineIneq.ge(var(v), lo), AffineIneq.le(var(v), lo + rng.randint(0, 4))]
+    return kind, Polyhedron(names, rows)
+
+
+def test_exact_queries_agree_with_highs():
+    rng = random.Random(20261018)
+    seen = {"empty": 0, "thin": 0, "unbounded": 0, "lines": 0, "bounded": 0}
+    for case in range(120):
+        kind, poly = _agreement_case(rng, case)
+        context = f"case {case} ({kind}): {poly}"
+        empty = highs_is_empty(poly)
+        assert poly.is_empty() == empty, context
+        axes = [LinExpr({v: sign}) for v in poly.variables for sign in (1, -1)]
+        mixed = [
+            LinExpr({v: rng.randint(-3, 3) for v in poly.variables}, const) for const in (0, 7)
+        ]
+        ref_statuses = []
+        for objective in axes + mixed:
+            status, value = poly.maximize(objective)
+            ref_status, ref_value = highs_maximize(poly, objective)
+            ref_statuses.append(ref_status)
+            assert status == ref_status, (context, objective)
+            if status == "optimal":
+                assert isinstance(value, Fraction)
+                assert abs(float(value) - ref_value) <= HIGHS_TOL, (context, objective)
+            assert poly.implies(AffineIneq(objective)) == (
+                status == "infeasible" or (status == "optimal" and value <= 0)
+            )
+        # bounded (or empty) iff HiGHS bounds every coordinate both ways
+        bounded = "unbounded" not in ref_statuses[: len(axes)]
+        assert poly.is_bounded() == bounded, context
+        gens = poly.generators()
+        seen["empty"] += empty
+        seen["thin"] += kind == "slab" and not empty
+        seen["unbounded"] += not bounded
+        seen["lines"] += bool(gens.points and gens.lines)
+        seen["bounded"] += bounded and not empty
+    assert min(seen.values()) >= 5, seen

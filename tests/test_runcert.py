@@ -41,10 +41,12 @@ HALFSTEP = (
 )
 
 
-def _certificate(source, name, *, explore="auto", integer_mode=True, max_states=10_000):
+def _certificate(
+    source, name, *, explore="auto", integer_mode=True, max_states=10_000, solver="auto"
+):
     pts = compile_source(source, name=name, integer_mode=integer_mode).pts
     model = build_sparse_model(pts, max_states=max_states, explore=explore)
-    result = iterate_model(model)
+    result = iterate_model(model, solver=solver)
     cert = emit_run_certificate(
         pts,
         model,
@@ -162,6 +164,41 @@ class TestTampering:
         report = verify_run_certificate(_resign(cert, rerequest), pts=pts)
         assert not report.ok
         assert [name for name, _ in report.failures] == ["explore-requested"]
+
+    # gambler under solver="auto" is certified by the direct solve (both
+    # sides adopted); under solver="sweep" no oracle runs
+    @pytest.mark.parametrize(
+        "solver,check,mutate",
+        [
+            ("auto", "vi-solver", lambda vi: vi.update(solver="banana")),
+            ("sweep", "vi-solver-adoption", lambda vi: vi.update(solver="direct")),
+            ("auto", "vi-certified-direct", lambda vi: vi.update(solver="sweep")),
+            ("auto", "vi-requested", lambda vi: vi["evidence"].update(requested="sweep")),
+        ],
+        ids=["unknown-solver", "direct-without-adoption", "certified-sweep", "sweep-with-oracle"],
+    )
+    def test_solver_label_must_match_the_evidence(self, solver, check, mutate):
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled", solver=solver)
+        tampered = _resign(cert, lambda payload: mutate(payload["value_iteration"]))
+        report = verify_run_certificate(tampered, pts=pts)
+        assert not report.ok
+        assert check in [name for name, _ in report.failures]
+
+    @pytest.mark.parametrize(
+        "check,mutate",
+        [
+            ("states-budget", lambda exploration: exploration.update(max_states=10)),
+            ("truncation", lambda exploration: exploration.update(truncated=True)),
+        ],
+        ids=["budget-below-states", "truncated-below-budget"],
+    )
+    def test_state_count_must_fit_the_budget(self, check, mutate):
+        # 13 states of a 10 000-state budget, complete
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
+        tampered = _resign(cert, lambda payload: mutate(payload["exploration"]))
+        report = verify_run_certificate(tampered, pts=pts)
+        assert not report.ok
+        assert [name for name, _ in report.failures] == [check]
 
     def test_unsigned_mutation_fails_integrity(self):
         pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
