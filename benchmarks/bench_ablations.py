@@ -7,7 +7,8 @@
   exact ``vpf`` from value iteration;
 * **invariant quality** — synthesized bound with generated interval
   invariants vs trivial (universe) invariants;
-* **substrate cost** — double description and Farkas encoding in isolation.
+* **substrate cost** — double description and the generator rows of one
+  implication in isolation.
 """
 
 import math
@@ -24,7 +25,7 @@ from repro.core import (
     hoeffding_synthesis,
     value_iteration,
 )
-from repro.polyhedra import AffineIneq, Polyhedron, decompose, FarkasEncoder
+from repro.polyhedra import AffineIneq, Polyhedron, decompose
 from repro.polyhedra.linexpr import var
 from repro.programs import get_benchmark
 
@@ -104,18 +105,12 @@ def test_substrate_double_description(benchmark):
     assert dec.generators.is_polytope
 
 
-def test_substrate_farkas_encoding(benchmark):
-    """Farkas encoding of a C3-style implication block."""
-    poly = Polyhedron.from_box({"x": (0, 100), "t": (0, 500)})
+def test_substrate_implication_rows(benchmark):
+    """Generator rows of a C3-style implication block."""
+    gens = Polyhedron.from_box({"x": (0, 100), "t": (0, 500)}).generators()
 
     def run():
-        enc = FarkasEncoder()
-        return enc.encode_implication(
-            poly,
-            {"x": var("ax"), "t": var("at")},
-            var("rhs"),
-            label="bench",
-        )
+        return gens.implication_rows({"x": var("ax"), "t": var("at")}, var("rhs"), label="bench")
 
-    block = benchmark(run)
-    assert len(block) >= poly.variables.__len__()
+    le, eq = benchmark(run)
+    assert len(le) == len(gens.points) and not eq

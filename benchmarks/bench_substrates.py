@@ -55,7 +55,7 @@ def test_bench_dd_unbounded(benchmark):
 
 
 def test_bench_lp_medium(benchmark):
-    """A Farkas-sized LP (120 vars, 160 rows)."""
+    """A synthesis-sized LP (120 vars, 160 rows)."""
     rng = random.Random(1)
 
     def build_and_solve():

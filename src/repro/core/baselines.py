@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import InfeasibleError, SolverError, SynthesisError
 from repro.numeric.lp import LinearProgram
-from repro.polyhedra.farkas import FarkasEncoder, TemplateConstraint
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
-from repro.utils.numbers import as_fraction
 from repro.core.invariants import InvariantMap, generate_interval_invariants
 from repro.core.templates import ExpTemplate
 
@@ -66,39 +64,26 @@ class BoundedRSM:
     solve_seconds: float = 0.0
 
 
-def synthesize_bounded_rsm(
-    pts: PTS,
-    invariants: Optional[InvariantMap] = None,
-    c_cap: Optional[float] = None,
-) -> BoundedRSM:
-    """Synthesize a difference-bounded RSM via Farkas + LP.
+#: the LP columns of the difference bound ``c`` and of its cap
+C_BOUND = "_c_bound"
+C_CAP = "_c_cap"
 
-    Normalizing ``eps = 1``, the LP minimizes the difference bound ``c``
-    first and the initial rank second.  ``c_cap`` optionally fixes an upper
-    bound on ``c`` so callers can trade difference size against initial
-    rank (see :func:`cfnh18_best_bound`).
-    """
-    start = time.perf_counter()
-    if invariants is None:
-        invariants = generate_interval_invariants(pts)
-    template = ExpTemplate(pts, include_sinks=False)
-    encoder = FarkasEncoder(prefix="_c")
-    constraints: List[TemplateConstraint] = []
-    c_var = LinExpr.variable("_c_bound")
-    constraints.append(TemplateConstraint(1 - c_var, "<=", label="c>=1"))
-    if c_cap is not None:
-        constraints.append(
-            TemplateConstraint(c_var - as_fraction(c_cap), "<=", label="c<=cap")
-        )
+
+def _bounded_rsm_lp(pts: PTS, invariants: InvariantMap, template: ExpTemplate) -> LinearProgram:
+    """The difference-bounded RSM conditions as one LP, with the cap on ``c``
+    as the free column ``_c_cap`` (row ``c <= cap``): a solve that pins it
+    imposes the cap, and one that leaves it free imposes none."""
+    lp = LinearProgram()
+    c_var = LinExpr.variable(C_BOUND)
+    lp.add_le(1 - c_var, "c>=1")
+    lp.add_le(c_var - LinExpr.variable(C_CAP), "c<=cap")
+
+    def implication(poly, coeffs, rhs, label: str) -> None:
+        lp.add_rows(*poly.generators().implication_rows(coeffs, rhs, label))
 
     for loc in pts.interior_locations:
-        inv = invariants.of(loc)
-        if inv.is_empty():
-            continue
         coeffs = {v: -template.coeff(loc, v) for v in pts.program_vars}
-        constraints.extend(
-            encoder.encode_implication(inv, coeffs, template.const(loc), label=f"nn@{loc}")
-        )
+        implication(invariants.of(loc), coeffs, template.const(loc), f"nn@{loc}")
 
     sampling_means = {r: d.mean() for r, d in pts.distributions.items()}
 
@@ -140,35 +125,27 @@ def synthesize_bounded_rsm(
                 for v in pts.program_vars
             }
             diff_const = dst_const - template.const(t.source)
-            constraints.extend(
-                encoder.encode_implication(
-                    psi, diff_coeffs, c_var - diff_const, label=f"dhi@T{t_index}"
-                )
+            implication(psi, diff_coeffs, c_var - diff_const, f"dhi@T{t_index}")
+            implication(
+                psi, {v: -e for v, e in diff_coeffs.items()}, c_var + diff_const, f"dlo@T{t_index}"
             )
-            constraints.extend(
-                encoder.encode_implication(
-                    psi,
-                    {v: -e for v, e in diff_coeffs.items()},
-                    c_var + diff_const,
-                    label=f"dlo@T{t_index}",
-                )
-            )
-        constraints.extend(
-            encoder.encode_implication(
-                psi, decrease_coeffs, decrease_rhs, label=f"dec@T{t_index}"
-            )
-        )
+        implication(psi, decrease_coeffs, decrease_rhs, f"dec@T{t_index}")
+    return lp
 
-    lp = LinearProgram()
-    for c in constraints:
-        (lp.add_le if c.relation == "<=" else lp.add_eq)(c.expr, c.label)
+
+def _bounded_rsm(
+    pts: PTS, template: ExpTemplate, lp: LinearProgram, c_cap: Optional[float]
+) -> BoundedRSM:
+    """Solve ``lp`` (from :func:`_bounded_rsm_lp`) under ``c_cap``."""
+    start = time.perf_counter()
+    rank = template.eta_initial()
     try:
         if c_cap is not None:
             # the cap fixes the difference budget: spend it all on rho_0
-            assignment = lp.solve(minimize=template.eta_initial())
+            assignment = lp.solve(minimize=rank, fix=(C_CAP, float(c_cap)))
         else:
             # lexicographic-ish: difference bound dominates, then rho_0
-            assignment = lp.solve(minimize=c_var * 1000 + template.eta_initial())
+            assignment = lp.solve(minimize=LinExpr.variable(C_BOUND) * 1000 + rank)
     except (InfeasibleError, SolverError) as exc:
         raise SynthesisError(f"no difference-bounded RSM found: {exc}")
     rho = template.instantiate(assignment)
@@ -177,9 +154,28 @@ def synthesize_bounded_rsm(
     )
     return BoundedRSM(
         rho0=max(rho0, 0.0),
-        c=assignment["_c_bound"],
+        c=assignment[C_BOUND],
         solve_seconds=time.perf_counter() - start,
     )
+
+
+def synthesize_bounded_rsm(
+    pts: PTS,
+    invariants: Optional[InvariantMap] = None,
+    c_cap: Optional[float] = None,
+) -> BoundedRSM:
+    """Synthesize a difference-bounded RSM by one LP over the premises'
+    generators.
+
+    Normalizing ``eps = 1``, the LP minimizes the difference bound ``c``
+    first and the initial rank second.  ``c_cap`` optionally fixes an upper
+    bound on ``c`` so callers can trade difference size against initial
+    rank (see :func:`cfnh18_best_bound`).
+    """
+    if invariants is None:
+        invariants = generate_interval_invariants(pts)
+    template = ExpTemplate(pts, include_sinks=False)
+    return _bounded_rsm(pts, template, _bounded_rsm_lp(pts, invariants, template), c_cap)
 
 
 def cfnh18_best_bound(
@@ -192,14 +188,17 @@ def cfnh18_best_bound(
 
     For each cap the LP minimizes the initial rank; the reported bound is
     the best resulting Azuma exponent.  (A single lexicographic LP can pick
-    a useless time-based rank — small differences but ``rho_0 > n``.)
+    a useless time-based rank — small differences but ``rho_0 > n``.)  The
+    LP is assembled once and each cap pins its cap column.
     """
     if invariants is None:
         invariants = generate_interval_invariants(pts)
+    template = ExpTemplate(pts, include_sinks=False)
+    lp = _bounded_rsm_lp(pts, invariants, template)
     best = 0.0  # the trivial bound 1
     for cap in c_grid:
         try:
-            rsm = synthesize_bounded_rsm(pts, invariants, c_cap=cap)
+            rsm = _bounded_rsm(pts, template, lp, cap)
         except SynthesisError:
             continue
         best = min(best, cfnh18_concentration_bound(rsm, n))

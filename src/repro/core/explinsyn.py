@@ -15,8 +15,11 @@ Pipeline, mirroring the paper's five steps:
      recession cone ``C``.  The paper encodes this with Farkas multipliers;
      we use the equivalent *polar form* read off the same DD run: for every
      generating ray ``r`` of ``C``, ``alpha_j . r <= 0``, and for every line
-     ``l``, ``alpha_j . l == 0``.  These are plain linear constraints over
-     the unknowns — no fresh multiplier variables inside the convex solve.
+     ``l``, ``alpha_j . l == 0``
+     (:meth:`~repro.polyhedra.dd.GeneratorSet.implication_rows`, the
+     encoding every synthesis family uses).  These are plain linear
+     constraints over the unknowns — no fresh multiplier variables inside
+     the convex solve.
    * (D2) the canonical inequality at every generator point of ``Q`` — a
      log-sum-exp (convex) constraint after expanding ``E[exp(gamma . r)]``
      (discrete distributions expand exactly into atom sums; continuous ones
@@ -104,27 +107,14 @@ def _eliminate(
     for k, con in enumerate(constraints):
         dec = decompose(con.psi)  # nonempty: canonicalize keeps only live premises
         label = f"{con.transition_name}#{k}"
-        # (D1): polar form of the cone condition, on the cone's generators;
-        # rows are collected per canonical constraint and emitted together.
-        d1_le: List[Tuple[LinExpr, str]] = []
-        d1_eq: List[Tuple[LinExpr, str]] = []
+        # (D1): alpha_j . v <= 0 on the recession cone, at its generators
+        cone = dec.generators.cone()
         for term_idx, term in enumerate(con.terms):
-            for ray in dec.generators.rays:
-                expr = LinExpr.constant(0)
-                for v, coeff in zip(dec.generators.variables, ray):
-                    if coeff != 0:
-                        expr = expr + term.alpha.get(v, LinExpr.constant(0)) * coeff
-                if not expr.is_zero:
-                    d1_le.append((expr, f"{label}:D1[{term_idx}]"))
-            for line in dec.generators.lines:
-                expr = LinExpr.constant(0)
-                for v, coeff in zip(dec.generators.variables, line):
-                    if coeff != 0:
-                        expr = expr + term.alpha.get(v, LinExpr.constant(0)) * coeff
-                if not expr.is_zero:
-                    d1_eq.append((expr, f"{label}:D1-line[{term_idx}]"))
-        program.add_linear_le_many(d1_le)
-        program.add_linear_eq_many(d1_eq)
+            d1_le, d1_eq = cone.implication_rows(
+                term.alpha, LinExpr.constant(0), f"{label}:D1[{term_idx}]"
+            )
+            program.add_linear_le_many(d1_le)
+            program.add_linear_eq_many(d1_eq)
         # (D2): the convex inequality at each generator point of the polytope.
         for p_idx, point in enumerate(dec.polytope_points):
             specs: List[Tuple[float, LinExpr, List]] = []

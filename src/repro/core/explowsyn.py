@@ -7,13 +7,15 @@ steps are:
 
 1. **Templates** per interior location (``theta = exp(a_l . v + b_l)``).
 2. **Bounding** — ``a_l . v + b_l <= M`` on ``I(l)`` for a fresh unknown
-   ``M >= 0`` (Farkas), keeping ``theta`` inside ``K_{exp(M)}``.
+   ``M >= 0``, keeping ``theta`` inside ``K_{exp(M)}``.
 3. **Canonicalization** with ``>=`` (shared with Section 5.2).
 4. **Jensen's inequality** — each canonical constraint is strengthened to
    the linear form ``sum_j (p_j / Q) (alpha_j . v + beta_j +
    gamma_j . E[r]) >= -ln Q`` with ``Q = sum_j p_j`` (Theorem 6.1); sound
    but incomplete.
-5. **Farkas + LP**, maximizing ``a_init . v_init + b_init``.
+5. **Generators + LP** — each "for all v in Psi" is eliminated at the
+   generators of Psi's double description (one linear row per point, ray
+   and line), and one LP maximizes ``a_init . v_init + b_init``.
 
 Almost-sure termination is discharged automatically via
 :func:`~repro.core.termination.prove_almost_sure_termination` unless the
@@ -25,11 +27,11 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InfeasibleError, SolverError, SynthesisError
 from repro.numeric.lp import LinearProgram
-from repro.polyhedra.farkas import FarkasEncoder, TemplateConstraint
+from repro.polyhedra.dd import Row
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
 from repro.utils.numbers import as_fraction
@@ -45,9 +47,10 @@ M_NAME = "_M"
 
 
 def _jensen_strengthen(
-    con: CanonicalConstraint, pts: PTS, encoder: FarkasEncoder
-) -> List[TemplateConstraint]:
-    """Step 4: the linear strengthening of one canonical ``>= 1`` constraint."""
+    con: CanonicalConstraint, pts: PTS
+) -> Tuple[List[Row], List[Row]]:
+    """Step 4: the linear strengthening of one canonical ``>= 1`` constraint,
+    as ``(le_rows, eq_rows)`` over the unknowns."""
     q = sum((t.prob for t in con.terms), Fraction(0))
     if q == 0:
         raise SynthesisError(
@@ -70,8 +73,8 @@ def _jensen_strengthen(
     # sum >= -ln q  <=>  (-mean_coeffs) . v <= mean_const + ln q
     neg = {v: -e for v, e in mean_coeffs.items()}
     rhs = mean_const + as_fraction(ln_q)
-    return encoder.encode_implication(
-        con.psi, neg, rhs, label=f"jensen:{con.transition_name}"
+    return con.psi.generators().implication_rows(
+        neg, rhs, label=f"jensen:{con.transition_name}"
     )
 
 
@@ -83,8 +86,8 @@ def exp_low_syn(
 ) -> LowerBoundCertificate:
     """Synthesize an exponential lower bound on the violation probability.
 
-    Sound for almost-surely terminating affine PTSs; runs in polynomial
-    time (one Farkas encoding + one LP).  Raises :class:`SynthesisError`
+    Sound for almost-surely terminating affine PTSs; one LP over the
+    premises' generators.  Raises :class:`SynthesisError`
     when no affine witness exists (e.g. the Jensen strengthening is too
     coarse, or no ranking supermartingale proves termination).
     """
@@ -96,29 +99,21 @@ def exp_low_syn(
         termination = prove_almost_sure_termination(pts, invariants)
 
     template = ExpTemplate(pts, include_sinks=False)
-    encoder = FarkasEncoder(prefix="_l")
-    constraints: List[TemplateConstraint] = []
+    lp = LinearProgram()
 
     # Step 2: boundedness  a_l . v + b_l <= M  on I(l), M >= 0
     m_var = LinExpr.variable(M_NAME)
-    constraints.append(TemplateConstraint(-m_var, "<=", label="M>=0"))
+    lp.add_le(-m_var, "M>=0")
     for loc in pts.interior_locations:
-        inv = invariants.of(loc)
-        if inv.is_empty():
-            continue
         coeffs = {v: template.coeff(loc, v) for v in pts.program_vars}
         rhs = m_var - template.const(loc)
-        constraints.extend(
-            encoder.encode_implication(inv, coeffs, rhs, label=f"bound@{loc}")
-        )
+        lp.add_rows(*invariants.of(loc).generators().implication_rows(coeffs, rhs, f"bound@{loc}"))
 
     # Steps 3-4: canonical constraints, Jensen-strengthened
     for con in canonicalize(pts, invariants, template):
-        constraints.extend(_jensen_strengthen(con, pts, encoder))
+        lp.add_rows(*_jensen_strengthen(con, pts))
 
     # Step 5: LP, maximizing the reported exponent (batched sparse assembly)
-    lp = LinearProgram()
-    lp.add_constraints(constraints)
     try:
         assignment = lp.solve(minimize=-template.eta_initial())
     except InfeasibleError:

@@ -16,26 +16,26 @@ symmetric differences and the weaker Azuma factor ``4 eps / delta^2`` —
 exposed here as ``factor="azuma"``.)
 
 All four conditions are affine, so after fixing ``delta = 1`` (``eta``
-scales freely) and applying Farkas' lemma they form an LP — except for the
-bilinear objective ``8 * eps * omega``, handled by Appendix C.2's Ser
-search (:mod:`repro.numeric.ser`): each probe fixes ``eps`` and minimizes
-``omega`` (an upper bound on ``eta(l_init, v_init)``) by LP.  The system is
-assembled once; ``eps`` is one of its columns, pinned per probe, and the
-search reads ``omega``'s slope off that column's marginal, which finds the
-exact optimum in a few LPs.
+scales freely) and eliminating "for all v in Psi" at the generators of
+Psi's double description (one row per point, ray and line) they form an
+LP — except for the bilinear objective ``8 * eps * omega``, handled by
+Appendix C.2's Ser search (:mod:`repro.numeric.ser`): each probe fixes
+``eps`` and minimizes ``omega`` (an upper bound on ``eta(l_init,
+v_init)``) by LP.  The system is assembled once; ``eps`` is one of its
+columns, pinned per probe, and the search reads ``omega``'s slope off
+that column's marginal, which finds the exact optimum in a few LPs.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SynthesisError
 from repro.numeric.lp import LinearProgram
 from repro.numeric.ser import lp_eps_max, lp_oracle, sandwich_search
 from repro.polyhedra.constraints import Polyhedron
-from repro.polyhedra.farkas import FarkasEncoder, TemplateConstraint
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
 from repro.core.certificates import RepRSMData, UpperBoundCertificate
@@ -76,23 +76,16 @@ def _support_box(pts: PTS) -> Polyhedron:
     return Polyhedron.from_box(bounds)
 
 
-def _build_constraints(
-    pts: PTS, invariants: InvariantMap, template: ExpTemplate
-) -> List[TemplateConstraint]:
-    """All RepRSM conditions as linear constraints over the unknowns
-    (template coefficients, Farkas multipliers, ``_eps``/``_omega``/``_beta``)."""
-    encoder = FarkasEncoder()
-    out: List[TemplateConstraint] = []
-
+def _add_conditions(
+    lp: LinearProgram, pts: PTS, invariants: InvariantMap, template: ExpTemplate
+) -> None:
+    """All RepRSM conditions as rows over the unknowns (template
+    coefficients and ``_eps``/``_omega``/``_beta``)."""
     # (C1) eta(init) <= omega <= 0
-    out.append(
-        TemplateConstraint(
-            template.eta_initial() - LinExpr.variable(OMEGA), "<=", label="C1"
-        )
-    )
-    out.append(TemplateConstraint(LinExpr.variable(OMEGA), "<=", label="C1:omega"))
+    lp.add_le(template.eta_initial() - LinExpr.variable(OMEGA), "C1")
+    lp.add_le(LinExpr.variable(OMEGA), "C1:omega")
     # eps >= 0
-    out.append(TemplateConstraint(-LinExpr.variable(EPS), "<=", label="eps>=0"))
+    lp.add_le(-LinExpr.variable(EPS), "eps>=0")
 
     # (C2) eta must be nonnegative at every state that *enters* l_fail.
     # The paper states C2 over I(l_fail); Theorem 5.1's proof only uses it
@@ -100,25 +93,24 @@ def _build_constraints(
     # for each fork into l_fail: eta_fail(upd(v, r)) >= 0 on Psi x U.  This
     # is strictly more precise than a box invariant at l_fail (which cannot
     # express relational facts like 3DWalk's x+y+z ~ 1000 slab) and remains
-    # a linear Farkas block.
-    sampling_box = _support_box(pts) if pts.distributions else None
+    # a block of linear rows.  Psi x U's generators are Psi's combined with
+    # the support box's vertices.
+    box = _support_box(pts).generators() if pts.distributions else None
     premises = invariants.premises()
-    for t_index, t, psi in premises:
+    extended = {
+        t_index: psi.generators() if box is None else psi.generators().product(box)
+        for t_index, _, psi in premises
+    }
+    for t_index, t, _ in premises:
         fail_forks = [f for f in t.forks if f.destination == pts.fail_location]
-        if not fail_forks:
-            continue
-        extended = psi if sampling_box is None else psi.intersect(sampling_box)
         for f_index, fork in enumerate(fail_forks):
             v_coeffs, r_coeffs, const = _eta_of_update(
                 pts, template, pts.fail_location, fork.update
             )
             coeffs = {v: -e for v, e in v_coeffs.items()}
             coeffs.update({r: -e for r, e in r_coeffs.items()})
-            out.extend(
-                encoder.encode_implication(
-                    extended, coeffs, const, label=f"C2@T{t_index}.{f_index}"
-                )
-            )
+            label = f"C2@T{t_index}.{f_index}"
+            lp.add_rows(*extended[t_index].implication_rows(coeffs, const, label))
 
     for t_index, t, psi in premises:
         label = f"T{t_index}:{t.name}"
@@ -139,12 +131,9 @@ def _build_constraints(
             for r, expr in r_coeffs.items():
                 mean_part = mean_part + expr * pts.distributions[r].mean()
             c3_rhs = c3_rhs - mean_part * p
-        out.extend(
-            encoder.encode_implication(psi, c3_coeffs, c3_rhs, label=f"{label}:C3")
-        )
+        lp.add_rows(*psi.generators().implication_rows(c3_coeffs, c3_rhs, f"{label}:C3"))
 
         # (C4) beta <= eta_dst(upd(v, r)) - eta_src(v) <= beta + 1 on Psi x U
-        extended = psi if sampling_box is None else psi.intersect(sampling_box)
         for f_index, fork in enumerate(t.forks):
             v_coeffs, r_coeffs, const = _eta_of_update(
                 pts, template, fork.destination, fork.update
@@ -158,26 +147,19 @@ def _build_constraints(
             # beta - D <= 0: (-diff) . (v, r) <= diff_const - beta
             lower_coeffs = {v: -e for v, e in diff_v.items()}
             lower_coeffs.update({r: -e for r, e in r_coeffs.items()})
-            out.extend(
-                encoder.encode_implication(
-                    extended,
-                    lower_coeffs,
-                    diff_const - beta,
-                    label=f"{label}:C4lo[{f_index}]",
+            lp.add_rows(
+                *extended[t_index].implication_rows(
+                    lower_coeffs, diff_const - beta, f"{label}:C4lo[{f_index}]"
                 )
             )
             # D - beta - 1 <= 0: diff . (v, r) <= beta + 1 - diff_const
             upper_coeffs = dict(diff_v)
             upper_coeffs.update(r_coeffs)
-            out.extend(
-                encoder.encode_implication(
-                    extended,
-                    upper_coeffs,
-                    beta + 1 - diff_const,
-                    label=f"{label}:C4hi[{f_index}]",
+            lp.add_rows(
+                *extended[t_index].implication_rows(
+                    upper_coeffs, beta + 1 - diff_const, f"{label}:C4hi[{f_index}]"
                 )
             )
-    return out
 
 
 def _fail_reachable(pts: PTS, invariants: InvariantMap) -> bool:
@@ -194,12 +176,11 @@ def _assemble_lp(
 ) -> LinearProgram:
     """The full (C1)-(C4) system for ``factor``, assembled once as an LP.
 
-    Deterministic in its inputs (fresh Farkas multiplier names are counted
-    per encoder), so a worker process rebuilding the system from a program
-    spec solves exactly the LP the parent would have solved.
+    Deterministic in its inputs, so a worker process rebuilding the system
+    from a program spec solves exactly the LP the parent would have solved.
     """
     lp = LinearProgram()
-    lp.add_constraints(_build_constraints(pts, invariants, template))
+    _add_conditions(lp, pts, invariants, template)
     if factor == "azuma":
         # [CNZ17] via Azuma's inequality: symmetric differences beta = -delta/2
         lp.add_eq(LinExpr.variable(BETA) + Fraction(1, 2), label="azuma:beta")

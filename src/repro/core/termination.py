@@ -11,8 +11,9 @@ an affine ``rho`` with
 
 is a ranking supermartingale, and its existence implies finite expected
 termination time and hence almost-sure termination [Chakarov &
-Sankaranarayanan 2013; Chatterjee et al. 2018].  Synthesis is one Farkas
-encoding plus an LP feasibility check.
+Sankaranarayanan 2013; Chatterjee et al. 2018].  Synthesis is one LP:
+each condition holds on a premise iff it holds at the generators of the
+premise's double description (one row per point, ray and line).
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import InfeasibleError, SynthesisError
 from repro.numeric.lp import LinearProgram
-from repro.polyhedra.farkas import FarkasEncoder, TemplateConstraint
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
 from repro.core.invariants import InvariantMap, generate_interval_invariants
@@ -86,18 +86,13 @@ def prove_almost_sure_termination(
     if invariants is None:
         invariants = generate_interval_invariants(pts)
     template = ExpTemplate(pts, include_sinks=False)
-    encoder = FarkasEncoder(prefix="_t")
-    constraints: List[TemplateConstraint] = []
+    lp = LinearProgram()
 
     for loc in pts.interior_locations:
-        inv = invariants.of(loc)
-        if inv.is_empty():
-            continue
         # rho(l, v) >= 0  <=>  (-a_l) . v <= b_l
         coeffs = {v: -template.coeff(loc, v) for v in pts.program_vars}
-        constraints.extend(
-            encoder.encode_implication(inv, coeffs, template.const(loc), label=f"nonneg@{loc}")
-        )
+        gens = invariants.of(loc).generators()
+        lp.add_rows(*gens.implication_rows(coeffs, template.const(loc), f"nonneg@{loc}"))
 
     for t_index, t, psi in invariants.premises():
         # sum_j p_j rho_dst(E[upd_j]) <= rho_src(v) - 1
@@ -121,13 +116,8 @@ def prove_almost_sure_termination(
                     else:
                         coeffs[name] = coeffs.get(name, LinExpr.constant(0)) + a_w * coeff * p
                 rhs = rhs - a_w * mean_const * p
-        constraints.extend(
-            encoder.encode_implication(psi, coeffs, rhs, label=f"rank@T{t_index}")
-        )
+        lp.add_rows(*psi.generators().implication_rows(coeffs, rhs, f"rank@T{t_index}"))
 
-    lp = LinearProgram()
-    for c in constraints:
-        (lp.add_le if c.relation == "<=" else lp.add_eq)(c.expr, c.label)
     try:
         assignment = lp.solve(minimize=template.eta_initial())
     except InfeasibleError:

@@ -73,7 +73,12 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: pieces instead of ternary-searching, so §5.1 and Azuma bounds, eps* and
 #: RepRSMs moved in their last digits (3DWalk's by 1e-5 orders) and lost
 #: the search_tol parameter; v8 results must read as misses.
-CACHE_KEY_VERSION = 9
+#: v10: generator rows — §5.1, Azuma, ExpLowSyn, termination and the
+#: baselines eliminate their premises at the double description's
+#: generators instead of Farkas multipliers, so their bounds and RSMs moved
+#: in the last digits (Ref p=1e-7's §5.1 bound by 6e-9 relative); v9
+#: results must read as misses.
+CACHE_KEY_VERSION = 10
 
 
 def _fixpoint_fingerprint() -> str:

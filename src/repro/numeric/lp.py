@@ -5,31 +5,46 @@ Two interfaces are provided:
 * a low-level matrix interface (:func:`solve_lp`), and
 * a named-variable interface (:class:`LinearProgram`) used by the synthesis
   algorithms, which assemble constraints symbolically as
-  :class:`~repro.polyhedra.linexpr.LinExpr` objects over unknown coefficients
-  and Farkas multipliers.
+  :class:`~repro.polyhedra.linexpr.LinExpr` objects over unknown template
+  coefficients — one row per generator of each premise
+  (:meth:`~repro.polyhedra.dd.GeneratorSet.implication_rows`).
 
 The named-variable interface assembles the constraint matrix as sparse COO
 triplets while constraints stream in — no dense per-row Python lists — so
 LP *assembly* stays proportional to the number of nonzero coefficients and
-keeps pace with the HiGHS solve even on the large Farkas/Handelman systems
-(see ``PERFORMANCE.md``).  The CSR matrices are built once per system and
-reused by every solve that only changes the objective or pins one column
-(:meth:`LinearProgram.optimize`), as the Ser search does for ``eps``.
+keeps pace with the HiGHS solve even on the large generator/Handelman
+systems (see ``PERFORMANCE.md``).  The CSR matrices are built once per
+system and reused by every solve that only changes the objective or pins
+one column (:meth:`LinearProgram.optimize`), as the Ser search does for
+``eps`` and the [CFNH18] baseline for its difference cap.
+
+``scipy.optimize`` is imported on the first solve (:func:`linprog`), so
+commands that solve no LP do not pay for it at start-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
 from scipy.sparse import csr_matrix
 
 from repro.errors import InfeasibleError, SolverError
 from repro.polyhedra.linexpr import LinExpr
 
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
+
 __all__ = ["LPResult", "solve_lp", "LinearProgram"]
+
+
+def linprog(c, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: the import costs
+    about half a second of start-up."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(c, **kwargs)
 
 
 @dataclass
@@ -58,8 +73,8 @@ class LPResult:
 _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
 
 #: statuses worth one retry with the dual simplex before giving up — HiGHS'
-#: default (interior point + crossover) occasionally stalls on the nearly
-#: degenerate Farkas systems where the simplex finishes cleanly
+#: default (interior point + crossover) occasionally stalls on nearly
+#: degenerate systems where the simplex finishes cleanly
 _RETRY_STATUSES = ("iteration-limit", "numerical")
 
 
@@ -87,9 +102,16 @@ def solve_lp(
     Constraint matrices may be dense sequences or ``scipy.sparse`` matrices.
     On an "iteration-limit" or "numerical" status the solve is retried once
     with ``method="highs-ds"`` (dual simplex) before raising
-    :class:`SolverError`.
+    :class:`SolverError`.  An "infeasible" status is confirmed by the
+    zero-objective LP over the same rows and bounds: HiGHS's presolve
+    reports some feasible, unbounded LPs as infeasible (min ``x0`` over the
+    slab ``5 - 1/999983 <= 3 x0 - x1 - 2 x2 <= 5``), so a feasible answer
+    there is reported as "unbounded".
     """
     n = len(c)
+    if n == 0:  # linprog needs a column; with none, every row is a constant
+        rows_hold = (_is_empty(a_ub) or min(b_ub) >= 0) and (_is_empty(a_eq) or not any(b_eq))
+        return LPResult("optimal", np.zeros(0), 0.0) if rows_hold else LPResult("infeasible")
     if bounds is None:
         bounds = [(None, None)] * n
     a_ub_arg = None if _is_empty(a_ub) else a_ub
@@ -97,9 +119,9 @@ def solve_lp(
     a_eq_arg = None if _is_empty(a_eq) else a_eq
     b_eq_arg = None if a_eq_arg is None else b_eq
 
-    def run(method: str):
+    def run(method: str, objective=c):
         return linprog(
-            c,
+            objective,
             A_ub=a_ub_arg,
             b_ub=b_ub_arg,
             A_eq=a_eq_arg,
@@ -113,6 +135,9 @@ def solve_lp(
     if status in _RETRY_STATUSES:
         res = run("highs-ds")
         status = _STATUS.get(res.status, "error")
+    if status == "infeasible" and np.any(c):
+        if _STATUS.get(run("highs", np.zeros(n)).status) == "optimal":
+            return LPResult("unbounded")
     if status == "optimal":
         return LPResult("optimal", np.asarray(res.x, dtype=float), float(res.fun), res)
     if status in ("infeasible", "unbounded"):
@@ -215,15 +240,14 @@ class LinearProgram:
         for expr, label in rows:
             self.add_eq(expr, label)
 
-    def add_constraints(self, constraints: Iterable) -> None:
-        """Batched emission of ``TemplateConstraint``-likes (``.expr``,
-        ``.relation`` in ``{"<=", "=="}``, ``.label``) — the common shape
-        produced by the Farkas encoder and the synthesis front-ends."""
-        for c in constraints:
-            if c.relation == "<=":
-                self.add_le(c.expr, c.label)
-            else:
-                self.add_eq(c.expr, c.label)
+    def add_rows(
+        self, le_rows: Iterable[Tuple[LinExpr, str]], eq_rows: Iterable[Tuple[LinExpr, str]]
+    ) -> None:
+        """Batched :meth:`add_le` and :meth:`add_eq` over ``(expr, label)``
+        pairs, in the shape ``GeneratorSet.implication_rows`` returns."""
+        for expr, label in le_rows:
+            self.add_le(expr, label)
+        self.add_eq_many(eq_rows)
 
     def set_objective(self, expr: LinExpr) -> None:
         """Set the (minimization) objective."""
@@ -280,15 +304,18 @@ class LinearProgram:
         """A solution vector as ``{name: value}``."""
         return {name: float(x[j]) for name, j in self._index.items()}
 
-    def solve(self, minimize: Optional[LinExpr] = None) -> Dict[str, float]:
-        """Solve; returns the optimal assignment as ``{name: value}``.
+    def solve(
+        self, minimize: Optional[LinExpr] = None, fix: Optional[Tuple[str, float]] = None
+    ) -> Dict[str, float]:
+        """Solve (``fix`` as in :meth:`optimize`); returns the optimal
+        assignment as ``{name: value}``.
 
         Raises :class:`InfeasibleError` if infeasible and
         :class:`SolverError` if unbounded or numerically failed.
         """
         if minimize is not None:
             self.set_objective(minimize)
-        result = self.optimize(self._objective)
+        result = self.optimize(self._objective, fix)
         if result.status == "infeasible":
             raise InfeasibleError("linear program is infeasible")
         if result.status == "unbounded":

@@ -6,9 +6,9 @@ HoeffdingSynthesis minimizes the bilinear objective ``m * eps * omega``
 ``omega`` by LP, and ternary-searches ``eps``, which Propositions 5/6
 license by proving the objective unimodal.
 
-The LP has more structure than that.  ``eps`` enters the (C1)-(C4) Farkas
-system, and the Handelman system of the polynomial pipeline, only as one
-column.  So ``omega*(eps)`` is the value function of a right-hand-side
+The LP has more structure than that.  ``eps`` enters the (C1)-(C4)
+generator-row system, and the Handelman system of the polynomial
+pipeline, only as one column.  So ``omega*(eps)`` is the value function of a right-hand-side
 parametric LP: convex, nondecreasing and piecewise linear on the feasible
 range.  On a linear piece ``[l, r]`` the objective is the quadratic
 ``m * eps * (omega*(l) + s * (eps - l))``, minimized in closed form.

@@ -88,7 +88,7 @@ class Polyhedron:
     """A conjunction of affine inequalities over an ordered variable tuple.
 
     The variable tuple fixes the column order of the matrix form ``M v <= d``
-    used by the double description method and the Farkas encodings; it may
+    used by the double description method and the generator rows; it may
     include variables that appear in no constraint (free coordinates).
     """
 

@@ -2,7 +2,7 @@
 
 :class:`LinExpr` is the workhorse shared by guards, affine updates, invariant
 inequalities and — crucially — *template constraints over unknown
-coefficients*: the Farkas and canonicalization steps of the paper manipulate
+coefficients*: the generator-row and canonicalization steps manipulate
 affine expressions whose "variables" are the unknown template coefficients
 ``a_l``, ``b_l``.  One exact representation serves both roles.
 """
@@ -45,8 +45,8 @@ class LinExpr:
 
         Instances are immutable, so repeated requests for the same name are
         served from an intern table — synthesis assembles millions of
-        single-variable expressions (template coefficients, Farkas
-        multipliers) and the cache removes that allocation churn.
+        single-variable expressions (template coefficients, ``_eps`` and
+        friends) and the cache removes that allocation churn.
         """
         cached = _VAR_INTERN.get(name)
         if cached is None:

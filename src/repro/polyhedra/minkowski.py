@@ -6,7 +6,7 @@ decomposition drives the paper's quantifier-elimination step
 (Proposition 1): the pre fixed-point constraint over all of ``P`` reduces to
 
 * (D1) a *cone condition* — each exponent slope ``alpha_j`` is non-increasing
-  along ``C`` — handled by Farkas' lemma, and
+  along ``C`` — linear rows at ``C``'s rays and lines, and
 * (D2) finitely many convex inequalities at the generator points of ``Q``.
 """
 
@@ -26,15 +26,19 @@ __all__ = ["MinkowskiDecomposition", "decompose"]
 class MinkowskiDecomposition:
     """``P = conv(polytope_points) + C`` with ``C`` the recession cone.
 
-    ``cone`` is kept in H-representation (that is what the Farkas encoding of
-    condition (D1) consumes); ``generators`` additionally records the cone's
-    rays and lines for verification purposes.
+    ``generators`` records the cone's rays and lines, which condition (D1)
+    is encoded at; :attr:`cone` is ``C`` in H-representation, built only
+    for :meth:`verify`.
     """
 
     polyhedron: Polyhedron
     polytope_points: List[Dict[str, Fraction]]
-    cone: Polyhedron
     generators: GeneratorSet
+
+    @property
+    def cone(self) -> Polyhedron:
+        """The recession cone ``{v : M v <= 0}``."""
+        return self.polyhedron.recession_cone()
 
     @property
     def is_empty(self) -> bool:
@@ -70,6 +74,5 @@ def decompose(poly: Polyhedron) -> MinkowskiDecomposition:
     return MinkowskiDecomposition(
         polyhedron=poly,
         polytope_points=generators.point_valuations(),
-        cone=poly.recession_cone(),
         generators=generators,
     )

@@ -1,14 +1,14 @@
 """Exact rational-number helpers used throughout the polyhedra substrate.
 
-The double description method and the Farkas encodings are carried out over
-``fractions.Fraction`` so that generator computations are exact; floats only
-appear at the solver boundary.
+Constraint data is held as ``fractions.Fraction``; the double description
+method scales each row to a primitive integer vector (:func:`normalize_row`)
+and runs on Python ``int``s.  Floats only appear at the solver boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, List, Sequence, Union
 
 Number = Union[int, float, str, Fraction]
@@ -41,33 +41,26 @@ def as_fraction(x: Number) -> Fraction:
 def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
     """Positive gcd of a collection of fractions (0 if all are zero).
 
-    ``gcd(a/b, c/d) = gcd(a·d, c·b) / (b·d)`` reduced; used to put generator
-    rays into a canonical scale.
+    ``gcd(a/b, c/d) = gcd(a·L/b, c·L/d) / L`` with ``L = lcm(b, d)``, in
+    integer arithmetic; used to scale constraint rows to primitive integer
+    vectors.
     """
-    result = Fraction(0)
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            continue
-        if result == 0:
-            result = v
-        else:
-            num = gcd(result.numerator * v.denominator, v.numerator * result.denominator)
-            den = result.denominator * v.denominator
-            result = Fraction(num, den)
-    return result
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(gcd(*(v.numerator * (den // v.denominator) for v in values)), den)
 
 
-def normalize_row(row: Sequence[Fraction]) -> List[Fraction]:
+def normalize_row(row: Sequence[Fraction]) -> List[int]:
     """Scale a rational vector by the reciprocal of its gcd.
 
-    The result has integer entries with gcd 1 and the same direction (the
-    leading sign is preserved).  The zero vector is returned unchanged.
+    The result is the primitive integer vector (Python ``int``s with gcd 1)
+    with the same direction.  The zero vector maps to zeros.
     """
     g = fraction_gcd(row)
     if g == 0:
-        return list(row)
-    return [v / g for v in row]
+        return [0] * len(row)
+    # v / g in integers: exact, because g divides every entry
+    return [(v.numerator * g.denominator) // (v.denominator * g.numerator) for v in row]
 
 
 def is_integral(x: Fraction) -> bool:

@@ -151,10 +151,11 @@ class TestBenchWorkflow:
         assert "push" not in triggers
         # pull requests run the bench only when they touch the exploration
         # layers, the run-certificate checker every bench run verifies
-        # with, the §5.2 solve, the §5.1 Ser search, or the polyhedral
-        # queries and invariant premises that filter both sections'
-        # constraints, and only through a paths filter (never the whole
-        # pull-request stream)
+        # with, the §5.2 solve, the §5.1 Ser search, the polyhedral
+        # queries, generator rows and invariant premises that filter every
+        # section's constraints, the §6 lower bounds with their termination
+        # proofs, the baselines, or the LP front-end, and only through a
+        # paths filter (never the whole pull-request stream)
         pr = triggers["pull_request"]
         assert isinstance(pr, dict) and pr.get("paths")
         assert "src/repro/core/fixpoint*.py" in pr["paths"]
@@ -167,6 +168,10 @@ class TestBenchWorkflow:
         assert "src/repro/numeric/ser.py" in pr["paths"]
         assert "src/repro/polyhedra/**" in pr["paths"]
         assert "src/repro/core/invariants.py" in pr["paths"]
+        assert "src/repro/core/explowsyn.py" in pr["paths"]
+        assert "src/repro/core/termination.py" in pr["paths"]
+        assert "src/repro/core/baselines.py" in pr["paths"]
+        assert "src/repro/numeric/lp.py" in pr["paths"]
 
     def test_bench_step_is_non_blocking_and_respects_gate_factor(self):
         data, _ = _load("bench.yml")

@@ -7,8 +7,8 @@ For randomly generated bounded walk programs we require the full ordering
 
 wherever each synthesis succeeds.  This is the strongest invariant the
 library offers and exercises every subsystem at once: parser, compiler,
-invariant generation, canonicalization, DD, Farkas, LP, convex solving and
-certificate verification.
+invariant generation, canonicalization, DD, generator rows, LP, convex
+solving and certificate verification.
 """
 
 

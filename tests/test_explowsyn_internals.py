@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.lang import compile_source
-from repro.polyhedra.farkas import FarkasEncoder
+from repro.polyhedra.linexpr import LinExpr
 from repro.core import exp_low_syn, generate_interval_invariants
 from repro.core.canonical import canonicalize
 from repro.core.explowsyn import _jensen_strengthen
@@ -29,18 +29,20 @@ assert false
 
 
 class TestJensenStrengthen:
-    def test_produces_linear_farkas_rows(self):
+    def test_produces_linear_generator_rows(self):
         pts = walk()
         inv = generate_interval_invariants(pts)
         template = ExpTemplate(pts)
         cons = canonicalize(pts, inv, template)
-        encoder = FarkasEncoder()
         loop_con = [c for c in cons if len(c.terms) >= 2][0]
-        rows = _jensen_strengthen(loop_con, pts, encoder)
-        assert rows
-        # every row is affine over unknowns + multipliers (TemplateConstraint)
-        for r in rows:
-            assert r.relation in ("<=", "==")
+        le, eq = _jensen_strengthen(loop_con, pts)
+        # the premise is a polytope: one "<=" row per generator point, each
+        # affine over the template unknowns only (no multiplier columns)
+        assert len(le) == len(loop_con.psi.generators().points) and not eq
+        unknowns = set(template.unknowns())
+        for expr, label in le:
+            assert isinstance(expr, LinExpr) and label.startswith("jensen:")
+            assert set(expr.variables()) <= unknowns
 
     def test_dropped_mass_enters_ln_q(self):
         pts = walk("0.01")
@@ -55,11 +57,10 @@ class TestJensenStrengthen:
         inv = generate_interval_invariants(pts)
         template = ExpTemplate(pts)
         cons = canonicalize(pts, inv, template)
-        encoder = FarkasEncoder()
         empty = [c for c in cons if not c.terms]
         assert empty
         with pytest.raises(SynthesisError):
-            _jensen_strengthen(empty[0], pts, encoder)
+            _jensen_strengthen(empty[0], pts)
 
 
 class TestJensenExactness:

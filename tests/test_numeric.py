@@ -1,6 +1,11 @@
 """Tests for the numeric layer: LP front-end, convex solver, Ser search."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,21 @@ class TestSolveLP:
         res = solve_lp([1.0], [[1.0]], [5.0])
         assert res.status == "unbounded"
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unbounded_thin_slab_is_not_infeasible(self, sign):
+        # HiGHS's presolve calls min x0 over 5 - 1/999983 <= 3x0 - x1 - 2x2 <= 5
+        # infeasible although x0 is unbounded on it both ways; the
+        # zero-objective LP over the same rows finds it feasible
+        lower = float(Fraction(5) - Fraction(1, 999983))
+        res = solve_lp([sign, 0.0, 0.0], [[3.0, -1.0, -2.0], [-3.0, 1.0, 2.0]], [5.0, -lower])
+        assert res.status == "unbounded"
+
+    def test_no_columns(self):
+        # every row is a constant: feasible iff each holds
+        assert solve_lp([], [[]], [0.0], [[]], [0.0]).ok
+        assert solve_lp([], [[]], [-1.0]).status == "infeasible"
+        assert solve_lp([], a_eq=[[]], b_eq=[1.0]).status == "infeasible"
+
     def test_equality(self):
         # min y s.t. x + y = 4, 1 <= x <= 3  =>  y = 1 at x = 3
         res = solve_lp(
@@ -40,6 +60,22 @@ class TestSolveLP:
         )
         assert res.ok
         assert res.objective == pytest.approx(1.0)
+
+
+def test_importing_the_lp_free_layers_leaves_scipy_optimize_out():
+    """``scipy.optimize`` costs about half a second of start-up; commands
+    that solve no LP (``repro exact``, ``verify-certificate``,
+    ``simulate``) must not import it."""
+    code = (
+        "import sys\n"
+        "import repro.core.fixpoint, repro.core.runcert, repro.lang\n"
+        "assert 'repro.numeric.lp' in sys.modules\n"
+        "sys.exit(int('scipy.optimize' in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
 
 
 class TestLinearProgram:
