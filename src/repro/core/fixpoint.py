@@ -31,15 +31,17 @@ Exploration runs on one of two interchangeable engines producing
   positive integer so coefficients stay integral) and fork/draw updates
   to ``int64`` affine maps, and the BFS advances a whole frontier per
   step — successor batches are computed as matrix products, deduplicated
-  through a void-view (``V``-dtype) hash of the raw state bytes instead
-  of per-state tuple interning, and admitted in exactly the sequential
-  discovery order, so state indices, truncation cuts and COO triplet
-  order match the scalar engine bit for bit; the lazy ``index`` descales
-  back to the exact rationals.  The translation is validated by
-  construction: one per-row admission rule (``_guard_row``) makes the
-  integer decision ``<= 0`` coincide with the reference engine's float
-  ``<= 1e-9`` decision on every in-range state, and any state beyond its
-  per-variable limit aborts the batch and falls back to the exact path.
+  through one uint64 key per ``(location, values)`` row (every key match
+  verified row for row; two states under one key take the overflow
+  fallback) instead of per-state tuple interning, and admitted in exactly
+  the sequential discovery order, so state indices, truncation cuts and
+  COO triplet order match the scalar engine bit for bit; the lazy
+  ``index`` descales back to the exact rationals.  The translation is
+  validated by construction: one per-row admission rule (``_guard_row``)
+  makes the integer decision ``<= 0`` coincide with the reference
+  engine's float ``<= 1e-9`` decision on every in-range state, and any
+  state beyond its per-variable limit aborts the batch and falls back to
+  the exact path.
   Models are labelled ``"int64"`` on an integer-lattice PTS (limits
   ``2**31``) and ``"scaled-int64"`` otherwise (limits
   ``min(2**31, s_v * 2**15)``).
@@ -162,6 +164,12 @@ _SCALED_GUARD_SLACK = 5e-10
 #: unit roundoff of IEEE double arithmetic
 _FLOAT_ULP = 2.0**-53
 
+#: multiply–xorshift constant of the lattice explorer's 64-bit state keys
+#: (see `_frontier_keys`); fixed, because a key only routes a state to its
+#: candidate duplicates — every key match is compared row for row
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_KEY_COLLISION = "two distinct states share a 64-bit frontier key"
+
 _EXPLORE_MODES = ("auto", "scaled", "fraction")
 
 #: thin-frontier bailout (``explore="auto"`` only): after this many BFS
@@ -179,7 +187,8 @@ _TINY_MODEL_STATES = 256
 
 
 class _IntOverflow(Exception):
-    """Internal: a frontier batch left the admitted per-variable range."""
+    """Internal: a frontier batch left the admitted per-variable range, or
+    two distinct states met under one 64-bit key (the message says which)."""
 
 
 class _ThinFrontier(Exception):
@@ -704,15 +713,16 @@ def build_sparse_model(
                 return _build_model_int(
                     pts, plan, max_states, allow_thin_bailout=explore == "auto"
                 )
-            except _IntOverflow:
+            except _IntOverflow as exc:
                 if explore == "scaled":
-                    raise ModelError(
+                    why = str(exc) or (
                         f"state values overflowed the {plan.admission['lattice']} "
                         f"frontier limit (|scaled value| beyond the per-variable "
-                        f"bound, at most {_INT_VALUE_LIMIT}); rerun with "
-                        f"explore='fraction'"
-                    ) from None
+                        f"bound, at most {_INT_VALUE_LIMIT})"
+                    )
+                    raise ModelError(f"{why}; rerun with explore='fraction'") from None
                 # fall through to the exact path, which handles any magnitude
+                # and interns exact state tuples instead of 64-bit keys
             except _ThinFrontier:
                 pass  # narrow chain: the scalar engine is faster
     return _build_model_exact(pts, max_states)
@@ -803,25 +813,45 @@ def _build_model_exact(pts: PTS, max_states: int) -> SparseFixpointModel:
     )
 
 
+def _frontier_keys(comb: np.ndarray) -> np.ndarray:
+    """One uint64 key per ``(location, values)`` int64 row: the row's
+    columns folded in by xor, multiply by `_KEY_MULTIPLIER` and xorshift.
+
+    Equal rows get equal keys; distinct rows almost never share one, and
+    the explorer compares every key match row for row, so a shared key
+    costs a fallback, never a wrong model.
+    """
+    cols = comb.view(np.uint64)
+    keys = cols[:, 0] * _KEY_MULTIPLIER
+    for j in range(1, cols.shape[1]):
+        keys ^= cols[:, j]
+        keys *= _KEY_MULTIPLIER
+        keys ^= keys >> np.uint64(32)
+    return keys
+
+
 def _build_model_int(
     pts: PTS,
     plan: _IntPlan,
     max_states: int,
     allow_thin_bailout: bool = False,
 ) -> SparseFixpointModel:
-    """The lattice engine: frontier-batch BFS with void-view dedup.
+    """The lattice engine: frontier-batch BFS with verified uint64 keys.
 
     Each BFS level is processed as numpy batches — guard dispatch is one
     integer matrix product per location group, successor generation one
     product per fork/draw stepper — and candidates are reordered to the
-    sequential ``(source, stepper)`` discovery order before a void-view
-    ``np.unique`` assigns new state indices in first-appearance order, so
-    interning, truncation and triplet emission replicate the scalar engine
-    exactly.  The global intern table is a *sorted* void-key array probed
-    with ``np.searchsorted`` — no per-state Python hashing anywhere.
-    The BFS runs entirely in fixed-point coordinates (``plan.scale *
-    value``, an exact bijection onto the reachable rationals); only the
-    lazy ``index`` descales back.  Raises
+    sequential ``(source, stepper)`` discovery order before ``np.unique``
+    over their :func:`_frontier_keys` assigns new state indices in
+    first-appearance order, so interning, truncation and triplet emission
+    replicate the scalar engine exactly.  The global intern table is a
+    *sorted* uint64 key array probed with ``np.searchsorted`` — no
+    per-state Python hashing anywhere.  Keys are checked, not trusted:
+    every candidate must equal its batch representative and every table
+    hit the stored row, and a mismatch (two states under one key) raises
+    :class:`_IntOverflow`.  The BFS runs entirely in fixed-point
+    coordinates (``plan.scale * value``, an exact bijection onto the
+    reachable rationals); only the lazy ``index`` descales back.  Raises
     :class:`_IntOverflow` the moment any successor leaves the per-variable
     admitted range ``plan.limits`` and :class:`_ThinFrontier` (when
     allowed) on chain-shaped systems whose levels are too narrow to
@@ -853,11 +883,6 @@ def _build_model_int(
     locs[0] = loc_id[pts.init_location]
     n = 1
 
-    void_dtype = np.dtype((np.void, 8 * width))
-
-    def void_keys(comb: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(comb).view(void_dtype).ravel()
-
     first_rec = np.empty((1, width), dtype=np.int64)
     first_rec[0, 0] = locs[0]
     first_rec[0, 1:] = vals[0]
@@ -865,7 +890,7 @@ def _build_model_int(
     # `side` arrays (cheap O(|side|) inserts); when side overflows it merges
     # into `main` once, so the O(n) rebuild happens every ~8k admissions
     # instead of every batch.  Probes are two binary searches.
-    main_keys = void_keys(first_rec)
+    main_keys = _frontier_keys(first_rec)
     main_gidx = np.zeros(1, dtype=np.int64)
     side_keys = main_keys[:0]
     side_gidx = main_gidx[:0]
@@ -947,8 +972,11 @@ def _build_model_int(
         comb = np.empty((len(src), width), dtype=np.int64)
         comb[:, 0] = dest_loc
         comb[:, 1:] = succ
-        keys = void_keys(comb)
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        uniq, first, inverse = np.unique(
+            _frontier_keys(comb), return_index=True, return_inverse=True
+        )
+        if not (comb == comb[first[inverse]]).all():
+            raise _IntOverflow(_KEY_COLLISION)
         gidx = np.full(len(uniq), -1, dtype=np.int64)
         pos = np.searchsorted(main_keys, uniq)
         clipped = np.minimum(pos, len(main_keys) - 1)
@@ -960,6 +988,11 @@ def _build_model_int(
             in_side = side_keys[clipped] == uniq
             gidx[in_side] = side_gidx[pos[in_side]]
             known |= in_side
+        hits = np.nonzero(known)[0]
+        if len(hits):
+            g, rec = gidx[hits], comb[first[hits]]
+            if not ((locs[g] == rec[:, 0]).all() and (vals[g] == rec[:, 1:]).all()):
+                raise _IntOverflow(_KEY_COLLISION)
         new_ks = np.nonzero(~known)[0]
         if len(new_ks):
             # admit in first-appearance (= sequential discovery) order

@@ -97,3 +97,32 @@ def test_github_slugging_matches_expectations():
     assert check_docs.github_slug("The layer stack") == "the-layer-stack"
     assert check_docs.github_slug("`compile`") == "compile"
     assert check_docs.github_slug("Where new work plugs in") == "where-new-work-plugs-in"
+
+
+#: the README's Race(40, 0) quickstart program
+RACE = (
+    "x := 40\ny := 0\nwhile x <= 99 and y <= 99:\n    if prob(0.5):\n"
+    "        x, y := x + 1, y + 2\n    else:\n        x := x + 1\nassert x >= 100\n"
+)
+
+
+def test_cli_certificate_sample_lists_every_check(tmp_path, capsys):
+    # docs/CLI.md's verify-certificate sample must show, in order, the
+    # checks an honest Race(40, 0) certificate reports
+    from repro.cli import main
+
+    cli_md = (REPO_ROOT / "docs" / "CLI.md").read_text()
+    sample = cli_md.split("$ repro verify-certificate race.cert.json\n", 1)[1]
+    documented = [
+        line for line in sample.split("```", 1)[0].splitlines() if line.startswith("ok ")
+    ]
+    program = tmp_path / "race.prob"
+    program.write_text(RACE)
+    cert = tmp_path / "race.cert.json"
+    assert main(["exact", str(program), "--certificate", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify-certificate", str(cert)]) == 0
+    reported = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("ok ")
+    ]
+    assert documented == reported

@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 
 from repro.errors import ModelError
 from repro.lang import compile_source
-from repro.core import fixpoint_reference
+from repro.core import fixpoint, fixpoint_reference
 from repro.core.fixpoint import build_sparse_model, iterate_model, value_iteration
 
 from test_fixpoint_equivalence import PROGRAMS, assert_brackets_reference
@@ -147,6 +147,46 @@ class TestFallback:
         assert fast.n == exact.n
         assert_csr_identical(fast.matrix, exact.matrix)
         assert (fast.b_upper == exact.b_upper).all()
+
+    def test_auto_falls_back_when_every_key_collides(self, monkeypatch):
+        # a zero multiplier gives every state key 0: the row checks must
+        # catch the shared keys, and auto must rebuild on the scalar engine
+        pts = compile_source(PROGRAMS["asym"], name="asym").pts
+        assert build_sparse_model(pts, max_states=2_000).explored_via == "int64"
+        exact = build_sparse_model(pts, max_states=2_000, explore="fraction")
+        monkeypatch.setattr(fixpoint, "_KEY_MULTIPLIER", np.uint64(0))
+        auto = build_sparse_model(pts, max_states=2_000)
+        assert auto.explored_via == "fraction"
+        assert auto.n == exact.n == 2_000
+        assert auto.truncated and exact.truncated
+        assert_csr_identical(auto.matrix, exact.matrix)
+        assert (auto.b_lower == exact.b_lower).all()
+        assert (auto.b_upper == exact.b_upper).all()
+        assert (auto.x0_upper == exact.x0_upper).all()
+        assert auto.index == exact.index
+        assert auto._evidence == exact._evidence
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # the batch check: the first candidate is the stored state
+            # itself, the second a new state under the same key
+            "x := 0\nwhile x <= 5:\n    switch:\n"
+            "        prob(0.5): x := x\n        prob(0.5): x := x + 1\n"
+            "assert x <= 10",
+            # the table check: one candidate per level, its key already
+            # stored for the previous state
+            "x := 0\nwhile x <= 5:\n    x := x + 1\nassert x <= 10",
+        ],
+        ids=["batch", "table"],
+    )
+    def test_forced_scaled_raises_when_every_key_collides(self, monkeypatch, source):
+        pts = compile_source(source, name="collide").pts
+        honest = build_sparse_model(pts, max_states=100, explore="scaled")
+        assert honest.explored_via == "int64" and honest.n > 2
+        monkeypatch.setattr(fixpoint, "_KEY_MULTIPLIER", np.uint64(0))
+        with pytest.raises(ModelError, match="share a 64-bit frontier key"):
+            build_sparse_model(pts, max_states=100, explore="scaled")
 
     def test_auto_bails_out_on_thin_frontiers(self):
         # chain-shaped system: >64 narrow BFS levels restart on the scalar

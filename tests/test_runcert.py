@@ -9,9 +9,13 @@ unchanged (certificates carry no timings, so serial and pooled executions
 of the same task must produce *identical* payloads).
 """
 
+import base64
+import hashlib
 import json
 import pickle
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.fixpoint import build_sparse_model, iterate_model
@@ -38,6 +42,15 @@ HALFSTEP = (
     "    if prob(0.5):\n        i, x := i + 1, x + 1/2\n"
     "    else:\n        i := i + 1\n"
     "assert x >= 8"
+)
+
+
+#: Fraction-engine run whose values pass 2**63 (383 states): its state
+#: table is ``text``-encoded and checked row by row in Python ints
+BEYOND_INT64 = (
+    "x := 1\nwhile x <= 100000000000000000000:\n    if prob(0.5):\n"
+    "        x := 1000 * x\n    else:\n        x := 1000 * x + 1\n"
+    "assert x <= 100000000000000000000"
 )
 
 
@@ -213,6 +226,145 @@ class TestTampering:
         report = verify_certificate_text("{not json")
         assert not report.ok
         assert report.failures[0][0] == "parse"
+
+
+def _forge_table(payload, edit, level=6):
+    """Decode the state table, let ``edit`` change it in place (an int64
+    array for ``i8le``, a list of row lists for ``text``), re-encode it at
+    zlib ``level`` and recompute every level digest — so only the state
+    checks, not the digest replay, can catch the edit."""
+    levels = payload["exploration"]["levels"]
+    raw = zlib.decompress(base64.b64decode(levels["states_blob"]))
+    ends = levels["level_ends"]
+    spans = list(zip([0] + ends[:-1], ends))
+    if levels["encoding"] == "i8le":
+        table = np.frombuffer(raw, dtype="<i8").reshape(ends[-1], -1).copy()
+        edit(table)
+        raw = table.tobytes()
+        levels["digests"] = [
+            hashlib.sha256(table[a:b].tobytes()).hexdigest() for a, b in spans
+        ]
+    else:
+        rows = [[int(t) for t in line.split(",")] for line in raw.decode().split("\n")]
+        edit(rows)
+        lines = [",".join(map(str, row)) for row in rows]
+        raw = "\n".join(lines).encode()
+        levels["digests"] = [
+            hashlib.sha256(b"text\n" + "\n".join(lines[a:b]).encode()).hexdigest()
+            for a, b in spans
+        ]
+    levels["states_blob"] = base64.b64encode(zlib.compress(raw, level)).decode()
+
+
+# edits of a decoded int64 state table (columns: the location, then a
+# numerator/denominator pair per variable)
+
+
+def _location_out_of_range(table, pts):
+    table[-1, 0] = len(pts.locations)
+
+
+def _two_halves(table, pts):
+    table[-1, 1:3] = 2
+
+
+def _off_lattice(table, pts):
+    table[-1, 3:5] = (1, 3)  # HALFSTEP's x lives on the scale-2 lattice
+
+
+def _moved_init(table, pts):
+    table[0, 1] += 1
+
+
+def _failed_checks(pts, cert, mutate):
+    report = verify_run_certificate(_resign(cert, mutate), pts=pts)
+    return [name for name, _ in report.failures]
+
+
+class TestStateTable:
+    """Forged state tables, re-signed with their level digests recomputed:
+    each must be caught by exactly the check named."""
+
+    def test_int64_min_numerator_is_out_of_range(self):
+        # |INT64_MIN| is negative in int64, so a magnitude bound let -2**63
+        # through; the bounds are compared signed
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
+
+        def forge(table):
+            table[-1, 1] = -(2**63)
+
+        failed = _failed_checks(pts, cert, lambda p: _forge_table(p, forge))
+        assert failed == ["state-range"]
+
+    @pytest.mark.parametrize(
+        "check,source,integer_mode,edit",
+        [
+            ("state-locations", GAMBLER, True, _location_out_of_range),
+            ("state-reduced", GAMBLER, True, _two_halves),
+            ("state-lattice", HALFSTEP, False, _off_lattice),
+            ("init-state", GAMBLER, True, _moved_init),
+        ],
+        ids=["location-out-of-range", "two-halves", "off-lattice", "moved-init"],
+    )
+    def test_forged_rows_fail_their_check(self, check, source, integer_mode, edit):
+        pts, cert = _certificate(
+            source, "forged", explore="scaled", integer_mode=integer_mode
+        )
+        assert verify_run_certificate(cert, pts=pts).ok
+        failed = _failed_checks(
+            pts, cert, lambda p: _forge_table(p, lambda table: edit(table, pts))
+        )
+        assert failed == [check]
+
+    def test_level_ends_must_end_at_the_state_count(self):
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
+
+        def drop_last_level(payload):
+            levels = payload["exploration"]["levels"]
+            del levels["level_ends"][-1], levels["digests"][-1]
+
+        assert _failed_checks(pts, cert, drop_last_level) == ["level-structure"]
+
+    def test_blob_of_partial_rows_is_undecodable(self):
+        pts, cert = _certificate(GAMBLER, "gambler", explore="scaled")
+
+        def cut(payload):
+            levels = payload["exploration"]["levels"]
+            raw = zlib.decompress(base64.b64decode(levels["states_blob"]))
+            levels["states_blob"] = base64.b64encode(zlib.compress(raw[:-8])).decode()
+
+        assert _failed_checks(pts, cert, cut) == ["frontier-digests"]
+
+    def test_blob_compressed_at_any_level_verifies(self):
+        # decompression reads any zlib level: a table recompressed at
+        # level 6 (or 9) with the same rows verifies unchanged
+        pts, cert = _certificate(HALFSTEP, "halfstep", explore="scaled", integer_mode=False)
+        for level in (6, 9):
+            recompressed = _resign(
+                cert, lambda p: _forge_table(p, lambda table: None, level=level)
+            )
+            assert recompressed.payload["exploration"]["levels"]["digests"] == (
+                cert.payload["exploration"]["levels"]["digests"]
+            )
+            report = verify_certificate_text(recompressed.to_json())
+            assert report.ok, "\n".join(report.render())
+
+    def test_text_encoded_table_round_trips(self):
+        pts, cert = _certificate(
+            BEYOND_INT64, "beyond-int64", explore="fraction", max_states=1_000
+        )
+        levels = cert.payload["exploration"]["levels"]
+        assert levels["encoding"] == "text"
+        assert cert.payload["exploration"]["states"] == 383
+        report = verify_certificate_text(cert.to_json())
+        assert report.ok, "\n".join(report.render())
+
+        def unreduce(rows):
+            # the last state's value, beyond 2**63, as 2x / 2
+            rows[-1][1:3] = [2 * rows[-1][1], 2]
+
+        failed = _failed_checks(pts, cert, lambda p: _forge_table(p, unreduce))
+        assert failed == ["state-reduced"]
 
 
 class TestCacheRoundTrip:

@@ -23,10 +23,12 @@ Sections:
   budget ``SLACK_CAP``; on the slow-mixing chain it must additionally be
   fully certified and tighter-or-equal;
 * **corruption drills** — a bit-flipped file, a tampered frontier
-  digest, a tampered admission multiplier, a stale engine fingerprint
-  and a fraction-engine certificate relabelled with an unknown explorer
-  (the latter four re-signed, so only the semantic check can catch
-  them) must each be *rejected*.
+  digest, a tampered admission multiplier, a stale engine fingerprint,
+  a fraction-engine certificate relabelled with an unknown explorer and
+  a state table forged to hold a numerator of -2**63 (the latter five
+  re-signed, and the forged table with its level digests recomputed, so
+  only the semantic check can catch them) must each be *rejected*, the
+  re-signed ones by the check named in the drill.
 
 Exit status 0 when every certificate verifies, every bracket agrees and
 every corruption is caught, 1 otherwise.  Needs ``repro`` importable
@@ -36,8 +38,11 @@ no reference engine.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import sys
+import zlib
 
 #: name -> (source, max_states, integer_mode), each forced through the
 #: lattice engine (``explore="scaled"``).  Budgets are chosen so every
@@ -272,8 +277,31 @@ def _fraction_certificate(name):
     return _emit(pts, model, result, name, source, integer_mode, max_states, "fraction")
 
 
+def _forge_states(payload, edit):
+    """Decode the ``i8le`` state table, let ``edit`` change it in place,
+    and write it back with every level digest recomputed — so the table
+    checks, not the digest replay, must catch the forgery."""
+    import numpy as np
+
+    levels = payload["exploration"]["levels"]
+    raw = zlib.decompress(base64.b64decode(levels["states_blob"]))
+    table = np.frombuffer(raw, dtype="<i8").reshape(
+        payload["exploration"]["states"], -1
+    ).copy()
+    edit(table)
+    levels["states_blob"] = base64.b64encode(zlib.compress(table.tobytes())).decode(
+        "ascii"
+    )
+    starts = [0] + levels["level_ends"][:-1]
+    levels["digests"] = [
+        hashlib.sha256(table[start:end].tobytes()).hexdigest()
+        for start, end in zip(starts, levels["level_ends"])
+    ]
+
+
 def check_corruption(cert, failures):
-    """Every drill must *fail* verification; passing one is a gate bug."""
+    """Every drill must *fail* verification — the re-signed ones on the
+    check they target; passing one is a gate bug."""
     from repro.core.runcert import verify_certificate_text
 
     def flip(payload):
@@ -292,26 +320,54 @@ def check_corruption(cert, failures):
     def relabel(payload):
         payload["exploration"]["explorer"] = "banana"
 
+    def int64_min(table):
+        # |INT64_MIN| does not exist in int64, and -2**63 times the scale
+        # 10 wraps to 0: a range check on magnitudes or products lets it in
+        table[-1, 1], table[-1, 2] = -(2**63), 1
+
     raw = bytearray(cert.to_json().encode("utf-8"))
     raw[len(raw) // 2] ^= 0x20  # flip one bit mid-file
     drills = [
-        ("bit-flipped file", verify_certificate_text(raw.decode("utf-8", "replace"))),
-        ("tampered digest", verify_certificate_text(_resign(cert, flip).to_json())),
-        ("tampered bounds", verify_certificate_text(_resign(cert, bounds).to_json())),
-        ("stale fingerprint", verify_certificate_text(_resign(cert, stale).to_json())),
+        ("bit-flipped file", None, verify_certificate_text(raw.decode("utf-8", "replace"))),
+        (
+            "tampered digest",
+            "frontier-digests",
+            verify_certificate_text(_resign(cert, flip).to_json()),
+        ),
+        (
+            "tampered bounds",
+            "admission-bounds",
+            verify_certificate_text(_resign(cert, bounds).to_json()),
+        ),
+        (
+            "stale fingerprint",
+            "engine-fingerprint",
+            verify_certificate_text(_resign(cert, stale).to_json()),
+        ),
         (
             "unknown explorer",
+            "explorer-label",
             verify_certificate_text(
                 _resign(_fraction_certificate("gambler-int"), relabel).to_json()
             ),
         ),
+        (
+            "forged -2**63 state",
+            "state-range",
+            verify_certificate_text(
+                _resign(cert, lambda p: _forge_states(p, int64_min)).to_json()
+            ),
+        ),
     ]
-    for label, report in drills:
-        caught = not report.ok
+    for label, check, report in drills:
+        failed = [name for name, _ in report.failures]
+        caught = not report.ok and (check is None or check in failed)
         if not caught:
-            failures.append(f"corruption drill {label!r} was ACCEPTED")
-        first = report.failures[0][0] if report.failures else "-"
-        print(f"corrupt: {label:<18} rejected={str(caught):<5} first-fail={first}")
+            why = "ACCEPTED" if report.ok else f"not rejected by {check} ({failed})"
+            failures.append(f"corruption drill {label!r} was {why}")
+        first = failed[0] if failed else "-"
+        print(f"corrupt: {label:<19} rejected={str(caught):<5} first-fail={first}")
+    return len(drills)
 
 
 def main() -> int:
@@ -322,7 +378,7 @@ def main() -> int:
     print()
     # drill against a scaled-lattice certificate: it has the richest
     # payload (admission record with non-unit multipliers)
-    check_corruption(certs[0], failures)
+    drills = check_corruption(certs[0], failures)
     if failures:
         print(f"\ncertificate gate FAILED ({len(failures)} problem(s)):")
         for line in failures:
@@ -331,7 +387,7 @@ def main() -> int:
     print(
         f"\ncertificate gate ok: {len(WORKLOADS)} explorer workload(s) + "
         f"{len(SOLVER_WORKLOADS)} solver workload(s) x 2 solvers "
-        "verified; 5 corruption drills rejected"
+        f"verified; {drills} corruption drills rejected"
     )
     return 0
 
