@@ -61,32 +61,34 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # lazy re-exports to keep import time low
+#: lazy re-exports (name -> defining package), resolved on first access to
+#: keep ``import repro`` light
+_LAZY = {
+    "LinExpr": "repro.polyhedra",
+    "AffineIneq": "repro.polyhedra",
+    "Polyhedron": "repro.polyhedra",
+    "PTS": "repro.pts",
+    "PTSBuilder": "repro.pts",
+    "Distribution": "repro.pts",
+    "simulate_violation_probability": "repro.pts",
+    "parse_program": "repro.lang",
+    "compile_program": "repro.lang",
+    "hoeffding_synthesis": "repro.core",
+    "exp_lin_syn": "repro.core",
+    "exp_low_syn": "repro.core",
+    "azuma_baseline": "repro.core",
+    "value_iteration": "repro.core",
+    "InvariantMap": "repro.core",
+    "prove_almost_sure_termination": "repro.core",
+    "exact_vpf": "repro.core",
+    "get_benchmark": "repro.programs",
+    "pretty": "repro.lang",
+}
+
+
+def __getattr__(name):
     from importlib import import_module
 
-    lazy = {
-        "LinExpr": "repro.polyhedra",
-        "AffineIneq": "repro.polyhedra",
-        "Polyhedron": "repro.polyhedra",
-        "PTS": "repro.pts",
-        "PTSBuilder": "repro.pts",
-        "Distribution": "repro.pts",
-        "simulate_violation_probability": "repro.pts",
-        "parse_program": "repro.lang",
-        "compile_program": "repro.lang",
-        "hoeffding_synthesis": "repro.core",
-        "exp_lin_syn": "repro.core",
-        "exp_low_syn": "repro.core",
-        "azuma_baseline": "repro.core",
-        "value_iteration": "repro.core",
-        "InvariantMap": "repro.core",
-        "prove_almost_sure_termination": "repro.core",
-        "polynomial_hoeffding_synthesis": "repro.core",
-        "exact_vpf": "repro.core",
-        "get_benchmark": "repro.programs",
-        "pretty": "repro.lang",
-    }
-    if name in lazy:
-        module = import_module(lazy[name])
-        return getattr(module, name)
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -383,12 +383,6 @@ def _cmd_selftest(args) -> int:
         AnalysisTask.make("hoeffding", race, task_id="selftest/hoeffding"),
         AnalysisTask.make("explinsyn", race, task_id="selftest/explinsyn"),
         AnalysisTask.make("explowsyn", chain, task_id="selftest/explowsyn"),
-        AnalysisTask.make(
-            "polynomial_lower",
-            chain,
-            params={"degree": 2},
-            task_id="selftest/polynomial_lower",
-        ),
     ]
     start = time.perf_counter()
     with AnalysisEngine.with_jobs(args.jobs) as engine:

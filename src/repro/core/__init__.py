@@ -2,9 +2,9 @@
 
 This is the algorithm layer (see ``docs/ARCHITECTURE.md``): one module
 per synthesis family — §5.1 Hoeffding/RepRSM (:func:`hoeffding_synthesis`),
-§5.2 ExpLinSyn (:func:`exp_lin_syn`), §6 ExpLowSyn (:func:`exp_low_syn`)
-and polynomial lower bounds — plus invariant generation, termination
-proofs, prior-work baselines, and the ground-truth fixpoint engine
+§5.2 ExpLinSyn (:func:`exp_lin_syn`) and §6 ExpLowSyn
+(:func:`exp_low_syn`) — plus invariant generation, termination proofs,
+prior-work baselines, and the ground-truth fixpoint engine
 (:func:`value_iteration` / :func:`exact_vpf`) with its lattice
 frontier-batch exploration fast path, its one CSR sweep kernel with the
 certified direct solve, and per-run translation-validation certificates
@@ -23,7 +23,6 @@ semantics; the vectorized engines are implementations of it.
 
 from repro.core.invariants import InvariantMap, generate_interval_invariants
 from repro.core.concentration import with_step_counter, concentration_bound
-from repro.core.polynomial_lower import PolynomialLowerBound, polynomial_exp_low_syn
 from repro.core.templates import ExpTemplate, ExpStateFunction
 from repro.core.canonical import CanonicalTerm, CanonicalConstraint, canonicalize
 from repro.core.certificates import (
@@ -53,11 +52,6 @@ from repro.core.runcert import (
     verify_certificate_text,
     verify_run_certificate,
 )
-from repro.core.polynomial import (
-    Polynomial,
-    handelman_constraints,
-    polynomial_hoeffding_synthesis,
-)
 from repro.core.baselines import (
     cs13_deviation_bound,
     BoundedRSM,
@@ -71,8 +65,6 @@ __all__ = [
     "generate_interval_invariants",
     "with_step_counter",
     "concentration_bound",
-    "PolynomialLowerBound",
-    "polynomial_exp_low_syn",
     "ExpTemplate",
     "ExpStateFunction",
     "CanonicalTerm",
@@ -106,7 +98,4 @@ __all__ = [
     "synthesize_bounded_rsm",
     "cfnh18_concentration_bound",
     "cfnh18_best_bound",
-    "Polynomial",
-    "handelman_constraints",
-    "polynomial_hoeffding_synthesis",
 ]

@@ -11,7 +11,12 @@ function ``theta`` and transition ``tau`` enabled on ``Psi``:
 * lower bounds need the post fixed-point inequality with ``>=`` plus
   boundedness and almost-sure termination (Theorem 4.4);
 * RepRSM certificates additionally carry the (beta, delta, eps) data and
-  re-check conditions (C1)-(C4) of Section 5.1.
+  re-check conditions (C1)-(C4) of Section 5.1;
+* every certificate's printed ``log_bound`` must follow from its state
+  function at the initial state: an upper bound may not undercut
+  ``min(theta(init), 0)`` and a lower bound may not exceed ``theta(init)``.
+  An upper bound of ``-inf`` is accepted only when no premise has a fork
+  into ``l_fail`` (:func:`fail_reachable`).
 
 Points are drawn from each ``Psi`` via its generator representation
 (vertices, plus random convex combinations pushed along recession rays), so
@@ -80,6 +85,15 @@ def log_ptf_transition(
             exponent += pts.distributions[r].log_mgf(gamma)
         parts.append(log_p + exponent)
     return log_sum_exp(parts)
+
+
+def fail_reachable(pts: PTS, invariants: InvariantMap) -> bool:
+    """True iff some transition into the failure sink has a nonempty premise."""
+    return any(
+        f.destination == pts.fail_location
+        for _, t, _ in invariants.premises()
+        for f in t.forks
+    )
 
 
 def sample_psi_points(
@@ -175,6 +189,13 @@ class _CertificateBase:
         """Human-readable bound, robust to double underflow (``1e-3230``...)."""
         return format_log_bound(self.log_bound)
 
+    def _init_log(self) -> float:
+        """``log theta(l_init, v_init)`` of the stored state function."""
+        return self.state_function.log_value(
+            self.pts.init_location,
+            {k: float(v) for k, v in self.pts.init_valuation.items()},
+        )
+
     def render_template(self) -> Dict[str, str]:
         """Per-location symbolic form, like the paper's Tables 3-5."""
         return {
@@ -221,6 +242,9 @@ class UpperBoundCertificate(_CertificateBase):
           fixed-point on every transition's ``Psi`` (sampled generators and
           ray extensions) — Theorem 4.1 then gives ``vpf <= theta``.
         * ``hoeffding``/``azuma``: the stored RepRSM must satisfy (C1)-(C4).
+        * every method: ``log_bound >= min(theta(init), 0)`` up to
+          ``tol * max(1, |theta(init)|)``; ``-inf`` only when no premise
+          enters ``l_fail``.
         """
         failures: List[str] = []
         if self.method in ("explinsyn", "hoeffding"):
@@ -228,13 +252,13 @@ class UpperBoundCertificate(_CertificateBase):
             failures.extend(report.failures[:5])
         if self.reprsm is not None:
             failures.extend(self._check_reprsm(tol, samples, seed)[:5])
-        init_log = self.state_function.log_value(
-            self.pts.init_location,
-            {k: float(v) for k, v in self.pts.init_valuation.items()},
-        )
-        if self.method == "explinsyn" and self.log_bound < init_log - tol - 1e-9:
+        init_log = self._init_log()
+        if self.log_bound == NEG_INF:
+            if fail_reachable(self.pts, self.invariants):
+                failures.append("reported log-bound -inf, but a premise enters l_fail")
+        elif self.log_bound < min(init_log, 0.0) - tol * max(1.0, abs(init_log)):
             failures.append(
-                f"reported log-bound {self.log_bound:.6g} below eta(init) {init_log:.6g}"
+                f"reported log-bound {self.log_bound:.6g} below theta(init) {init_log:.6g}"
             )
         if failures:
             raise VerificationError(
@@ -343,7 +367,8 @@ class LowerBoundCertificate(_CertificateBase):
         self.bound_m = bound_m
 
     def verify(self, tol: float = 1e-6, samples: int = 8, seed: int = 11) -> None:
-        """Re-check the post fixed-point inequality and boundedness."""
+        """Re-check the post fixed-point inequality, boundedness, and that
+        ``log_bound <= theta(init)`` up to ``tol * max(1, |theta(init)|)``."""
         failures: List[str] = []
         report = self._check_fixed_point("post", tol, samples, seed)
         failures.extend(report.failures[:5])
@@ -359,6 +384,11 @@ class LowerBoundCertificate(_CertificateBase):
                         break
         if self.log_bound > tol:
             failures.append(f"lower bound exceeds 1: log={self.log_bound:.3g}")
+        init_log = self._init_log()
+        if self.log_bound > init_log + tol * max(1.0, abs(init_log)):
+            failures.append(
+                f"reported log-bound {self.log_bound:.6g} above theta(init) {init_log:.6g}"
+            )
         if failures:
             raise VerificationError(
                 "lower-bound certificate failed verification:\n  " + "\n  ".join(failures)

@@ -134,16 +134,11 @@ def exp_lin_syn(
     invariants: Optional[InvariantMap] = None,
     margin: float = 1e-9,
     verify: bool = True,
-    warm_start=None,
 ) -> UpperBoundCertificate:
     """Synthesize an exponential upper bound on the assertion violation
     probability of an affine PTS (the paper's complete algorithm).
 
     ``invariants`` defaults to automatically generated interval invariants.
-    ``warm_start`` may carry an :class:`ExpStateFunction` known to be a pre
-    fixed-point (e.g. a Hoeffding certificate's scaled function): it is
-    returned instead of the solver's point when strictly tighter, so the
-    result is at least that tight.
     Returns an :class:`UpperBoundCertificate` whose ``log_bound`` is
     ``eta(l_init, v_init)``; ``verify=True`` (default) re-checks the
     certificate and raises :class:`VerificationError` on failure.
@@ -158,16 +153,7 @@ def exp_lin_syn(
         program.add_unknown(name)
     eliminated = _eliminate(pts, constraints, program)
     program.set_objective(template.eta_initial())
-    seed = None
-    if warm_start is not None:
-        seed = {}
-        for loc, row in warm_start.coeffs.items():
-            if loc not in template.locations:
-                continue
-            for v, value in row.items():
-                seed[template.a_name(loc, v)] = float(value)
-            seed[template.b_name(loc)] = float(warm_start.consts[loc])
-    solution = program.solve(margin=margin, warm_start=seed)
+    solution = program.solve(margin=margin)
     if not solution.feasible:
         raise SynthesisError(
             f"ExpLinSyn: solver returned an infeasible point "
@@ -193,41 +179,11 @@ def exp_lin_syn(
 # -- analysis-engine protocol -------------------------------------------------------
 
 
-def _warm_start_from_deps(task, deps, pts):
-    """Rebuild a warm-start state function from an upstream task's result.
-
-    The task's ``warm_start_from`` parameter names the dependency (a
-    ``hoeffding`` task, typically); its ``state_table`` — the scaled
-    certificate exponents — is a pre fixed-point, so offering it to the
-    convex solve as a candidate preserves the guarantee sec5.2 <= sec5.1.
-    Errored or absent upstream results simply mean a cold start.
-    """
-    from repro.core.templates import ExpStateFunction
-
-    dep_id = task.param("warm_start_from")
-    if not dep_id or deps is None:
-        return None
-    upstream = deps.get(dep_id)
-    if upstream is None or not upstream.ok or not upstream.state_table:
-        return None
-    return ExpStateFunction(
-        variables=pts.program_vars,
-        coeffs={loc: dict(row) for loc, (row, _) in upstream.state_table.items()},
-        consts={loc: const for loc, (_, const) in upstream.state_table.items()},
-        term_location=pts.term_location,
-        fail_location=pts.fail_location,
-    )
-
-
 def synthesize(task, deps=None, engine=None):
     """Engine entry point for ``explinsyn`` tasks."""
     from repro.engine.task import CertificateResult, result_from_certificate
 
     pts, invariants = task.program.resolve()
-    warm = _warm_start_from_deps(task, deps, pts)
-    # a cold solve standing in for a requested warm start (failed upstream)
-    # must not be cached under the warm-start-fingerprinted key
-    degraded = task.param("warm_start_from") is not None and warm is None
     start = time.perf_counter()
     try:
         certificate = exp_lin_syn(
@@ -235,15 +191,12 @@ def synthesize(task, deps=None, engine=None):
             invariants,
             margin=float(task.param("margin", 1e-9)),
             verify=bool(task.param("verify", True)),
-            warm_start=warm,
         )
     except Exception as exc:
         return CertificateResult.failure(task, exc, seconds=time.perf_counter() - start)
-    result = result_from_certificate(
+    return result_from_certificate(
         task.algorithm,
         certificate,
         seconds=time.perf_counter() - start,
-        details={"init_location": pts.init_location, "warm_started": warm is not None},
+        details={"init_location": pts.init_location},
     )
-    result.cache_ok = not degraded
-    return result

@@ -38,7 +38,7 @@ from repro.numeric.ser import lp_eps_max, lp_oracle, sandwich_search
 from repro.polyhedra.constraints import Polyhedron
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS
-from repro.core.certificates import RepRSMData, UpperBoundCertificate
+from repro.core.certificates import RepRSMData, UpperBoundCertificate, fail_reachable
 from repro.core.invariants import InvariantMap, generate_interval_invariants
 from repro.core.templates import ExpTemplate
 
@@ -162,15 +162,6 @@ def _add_conditions(
             )
 
 
-def _fail_reachable(pts: PTS, invariants: InvariantMap) -> bool:
-    """True iff some transition into the failure sink has a nonempty premise."""
-    return any(
-        f.destination == pts.fail_location
-        for _, t, _ in invariants.premises()
-        for f in t.forks
-    )
-
-
 def _assemble_lp(
     pts: PTS, invariants: InvariantMap, template: ExpTemplate, factor: str
 ) -> LinearProgram:
@@ -198,9 +189,11 @@ def _synthesize(
     if invariants is None:
         invariants = generate_interval_invariants(pts)
     template = ExpTemplate(pts, include_sinks=True)
-    if not _fail_reachable(pts, invariants):
-        # the invariant proves no transition into l_fail is ever enabled:
-        # theta = 0 on interior states is a pre fixed-point and vpf = 0
+    if not fail_reachable(pts, invariants):
+        # the invariant proves no transition into l_fail is ever enabled,
+        # so vpf = 0.  The stored function is theta = 1 (a trivial pre
+        # fixed-point); the -inf bound rests on that premise check, which
+        # UpperBoundCertificate.verify repeats
         zero = template.instantiate({})
         for sink in (pts.term_location, pts.fail_location):
             zero.coeffs.pop(sink, None)

@@ -31,7 +31,6 @@ from repro.engine.task import (
     CertificateResult,
     ProgramSpec,
     result_from_certificate,
-    state_table_of,
 )
 from repro.engine.scheduler import (
     ProcessPoolScheduler,
@@ -57,7 +56,6 @@ __all__ = [
     "AnalysisTask",
     "CertificateResult",
     "ProgramSpec",
-    "state_table_of",
     "result_from_certificate",
     "Scheduler",
     "SerialScheduler",

@@ -85,7 +85,6 @@ ALGORITHMS: Dict[str, str] = {
     "hoeffding_probe": "repro.core.hoeffding:synthesize_probe",
     "explinsyn": "repro.core.explinsyn:synthesize",
     "explowsyn": "repro.core.explowsyn:synthesize",
-    "polynomial_lower": "repro.core.polynomial_lower:synthesize",
     "table1_baseline": "repro.experiments.table1:synthesize_baseline",
     "exact": "repro.core.runcert:synthesize_exact",
 }
@@ -661,7 +660,6 @@ class AnalysisEngine:
             and task.cacheable
             and not result.cached  # a replayed hit must not count as a store
             and result.ok
-            and result.cache_ok
         ):
             self.cache.put(task.cache_key, result)
 

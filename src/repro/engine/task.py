@@ -8,9 +8,9 @@ travels to process-pool workers — and carry a deterministic
 an on-disk :class:`~repro.engine.cache.ResultCache`.
 
 Results come back as :class:`CertificateResult`: a slim, picklable summary
-of a synthesis run (bound, timings, rendered templates, the solved state
-table for warm starts) rather than the full certificate object, which drags
-the whole PTS/invariant substrate across process boundaries.
+of a synthesis run (bound, timings, rendered templates) rather than the
+full certificate object, which drags the whole PTS/invariant substrate
+across process boundaries.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "ProgramSpec",
     "AnalysisTask",
     "CertificateResult",
-    "state_table_of",
     "result_from_certificate",
 ]
 
@@ -172,8 +171,8 @@ class AnalysisTask:
     """One schedulable analysis: program x algorithm x parameters.
 
     ``depends_on`` names other tasks (by ``task_id``) whose results must be
-    available before this one runs; the engine hands them to the synthesizer
-    (e.g. ExpLinSyn warm-starts from a Hoeffding certificate's state table).
+    available before this one runs; the engine hands them to the
+    synthesizer as its ``deps`` mapping.
     ``cacheable=False`` opts a task out of the on-disk cache.
 
     ``timeout`` is a per-task wall-clock deadline in seconds (``None``
@@ -227,10 +226,9 @@ class AnalysisTask:
         """Deterministic content hash of (algorithm, program, params).
 
         Dependencies are deliberately excluded: two task graphs wiring the
-        same synthesis differently still mean the same computation.  Tasks
-        whose *result* depends on upstream payloads (warm starts) must fold
-        a fingerprint of that payload into ``params`` — the table harness
-        does — or set ``cacheable=False``.
+        same synthesis differently still mean the same computation.  A task
+        whose *result* depends on upstream payloads must fold a fingerprint
+        of that payload into ``params`` or set ``cacheable=False``.
         """
         payload = {
             "v": CACHE_KEY_VERSION,
@@ -247,12 +245,11 @@ class AnalysisTask:
 class CertificateResult:
     """Uniform, picklable outcome of one analysis task.
 
-    ``state_table`` holds the solved exponents per location
-    (``loc -> (coeffs, const)``) — enough to rebuild an
-    :class:`~repro.core.templates.ExpStateFunction` for warm starts and for
-    the symbolic appendix tables without shipping certificate objects
-    between processes.  ``details`` carries per-algorithm extras (RepRSM
-    ``eps``/``beta``, LP evaluation counts, the bound ``M`` of Section 6).
+    ``template_renders`` holds the solved state function rendered per
+    location — what the symbolic appendix tables print — so no certificate
+    object crosses a process boundary.  ``details`` carries per-algorithm
+    extras (RepRSM ``eps``/``beta``, LP evaluation counts, the bound ``M``
+    of Section 6).
     """
 
     algorithm: str
@@ -262,14 +259,9 @@ class CertificateResult:
     solver_info: str = ""
     error: str = ""
     error_type: str = ""
-    state_table: Optional[Dict[str, Tuple[Dict[str, float], float]]] = None
     template_renders: Dict[str, str] = field(default_factory=dict)
     details: Dict[str, Any] = field(default_factory=dict)
     cached: bool = False
-    #: producers set this False when the result was computed under degraded
-    #: inputs (e.g. a requested warm start whose producer failed) — storing
-    #: it would poison the cache for runs where the inputs are healthy
-    cache_ok: bool = True
     #: the run certificate payload (``RunCertificate.as_dict()``) for
     #: synthesizers that emit one — the cache strips it into a sidecar
     #: blob on write and reattaches it on read, so the pickled entry
@@ -296,14 +288,6 @@ class CertificateResult:
         )
 
 
-def state_table_of(state_function) -> Dict[str, Tuple[Dict[str, float], float]]:
-    """Flatten an ``ExpStateFunction`` into the picklable warm-start form."""
-    return {
-        loc: (dict(state_function.coeffs[loc]), float(state_function.consts[loc]))
-        for loc in state_function.coeffs
-    }
-
-
 def result_from_certificate(
     algorithm: str,
     certificate,
@@ -317,7 +301,6 @@ def result_from_certificate(
         log_bound=certificate.log_bound,
         seconds=certificate.solve_seconds if seconds is None else seconds,
         solver_info=certificate.solver_info,
-        state_table=state_table_of(certificate.state_function),
         template_renders=certificate.render_template(),
         details=dict(details or {}),
     )

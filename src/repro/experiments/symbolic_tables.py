@@ -8,12 +8,9 @@ certificates the same way.
 
 Every row is one engine task (``hoeffding``/``explinsyn``/``explowsyn``),
 so ``--jobs N`` fans the whole appendix out over a process pool.  The
-``hoeffding`` tasks hash identically to Table 1's and the ``explowsyn``
-tasks to Table 2's, so a shared result cache replays those solves from a
-previous numeric run; Table 4's ``explinsyn`` tasks run cold here (Table 1
-warm-starts its sec5.2 tasks from the Hoeffding certificate, which is part
-of the cache key), so they are recomputed rather than risk replaying a
-differently-seeded solve.
+``hoeffding`` and ``explinsyn`` tasks hash identically to Table 1's and
+the ``explowsyn`` tasks to Table 2's, so a shared result cache replays
+every solve of a previous numeric run.
 """
 
 from __future__ import annotations

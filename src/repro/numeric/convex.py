@@ -41,8 +41,7 @@ constraint (:attr:`ConvexSolution.feasible`), and ExpLinSyn re-derives the
 certificate conditions from the PTS semantics
 (:meth:`~repro.core.certificates.UpperBoundCertificate.verify`).  When no
 strictly feasible point exists, the all-zero template (bound 1) is
-returned.  A ``warm_start`` is only a candidate, returned when it is
-feasible and strictly better than the barrier's point.
+returned.
 """
 
 from __future__ import annotations
@@ -559,7 +558,6 @@ class ConvexProgram:
         self,
         margin: float = 1e-9,
         objective_floor: Optional[float] = -1e5,
-        warm_start: Optional[Dict[str, float]] = None,
     ) -> ConvexSolution:
         """Minimize the objective; returns a verified :class:`ConvexSolution`.
 
@@ -568,33 +566,23 @@ class ConvexProgram:
         ``objective_floor`` caps how far the objective may fall (a bound of
         ``exp(-1e5)`` is already indistinguishable from 0 and the cap keeps
         the solve well-scaled when the true optimum is unbounded).
-        ``warm_start`` is returned instead of the solver's point only when
-        it is feasible and strictly better.
         """
         n = len(self._index)
         if n == 0:
             return ConvexSolution({}, float(self._objective.const), 0.0, "trivial")
         obj_row, obj_const = self._row(self._objective)
 
-        def candidate(x: np.ndarray, method: str) -> ConvexSolution:
+        def solution(x: np.ndarray, method: str) -> ConvexSolution:
             assignment = {name: float(x[idx]) for name, idx in self._index.items()}
             objective = float(obj_row @ x) + obj_const
             return ConvexSolution(assignment, objective, self.max_violation(assignment), method)
 
-        candidates = []
         x = self._barrier_point(obj_row, obj_const, margin, objective_floor)
         if x is not None:
-            candidates.append(candidate(x, "barrier"))
-        if warm_start:
-            seed = np.zeros(n)
-            for name, value in warm_start.items():
-                if name in self._index:
-                    seed[self._index[name]] = float(value)
-            candidates.append(candidate(seed, "warm-start"))
-        feasible = [c for c in candidates if c.feasible]
-        if feasible:
-            return min(feasible, key=lambda c: c.objective)  # ties keep the barrier's
-        zero = candidate(np.zeros(n), "zero-fallback")
+            barrier = solution(x, "barrier")
+            if barrier.feasible:
+                return barrier
+        zero = solution(np.zeros(n), "zero-fallback")
         if not zero.feasible:
             raise SolverError(
                 f"convex solve failed: even the trivial point violates "

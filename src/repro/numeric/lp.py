@@ -12,8 +12,8 @@ Two interfaces are provided:
 The named-variable interface assembles the constraint matrix as sparse COO
 triplets while constraints stream in — no dense per-row Python lists — so
 LP *assembly* stays proportional to the number of nonzero coefficients and
-keeps pace with the HiGHS solve even on the large generator/Handelman
-systems (see ``PERFORMANCE.md``).  The CSR matrices are built once per
+keeps pace with the HiGHS solve even on the large generator-row systems
+(see ``PERFORMANCE.md``).  The CSR matrices are built once per
 system and reused by every solve that only changes the objective or pins
 one column (:meth:`LinearProgram.optimize`), as the Ser search does for
 ``eps`` and the [CFNH18] baseline for its difference cap.
@@ -235,11 +235,6 @@ class LinearProgram:
         self._append(self._eq, expr)
         self._eq_rows.append((expr, label))
 
-    def add_eq_many(self, rows: Iterable[Tuple[LinExpr, str]]) -> None:
-        """Batched :meth:`add_eq` over ``(expr, label)`` pairs."""
-        for expr, label in rows:
-            self.add_eq(expr, label)
-
     def add_rows(
         self, le_rows: Iterable[Tuple[LinExpr, str]], eq_rows: Iterable[Tuple[LinExpr, str]]
     ) -> None:
@@ -247,7 +242,8 @@ class LinearProgram:
         pairs, in the shape ``GeneratorSet.implication_rows`` returns."""
         for expr, label in le_rows:
             self.add_le(expr, label)
-        self.add_eq_many(eq_rows)
+        for expr, label in eq_rows:
+            self.add_eq(expr, label)
 
     def set_objective(self, expr: LinExpr) -> None:
         """Set the (minimization) objective."""

@@ -7,11 +7,11 @@ HoeffdingSynthesis minimizes the bilinear objective ``m * eps * omega``
 license by proving the objective unimodal.
 
 The LP has more structure than that.  ``eps`` enters the (C1)-(C4)
-generator-row system, and the Handelman system of the polynomial
-pipeline, only as one column.  So ``omega*(eps)`` is the value function of a right-hand-side
-parametric LP: convex, nondecreasing and piecewise linear on the feasible
-range.  On a linear piece ``[l, r]`` the objective is the quadratic
-``m * eps * (omega*(l) + s * (eps - l))``, minimized in closed form.
+generator-row system only as one column.  So ``omega*(eps)`` is the value
+function of a right-hand-side parametric LP: convex, nondecreasing and
+piecewise linear on the feasible range.  On a linear piece ``[l, r]`` the
+objective is the quadratic ``m * eps * (omega*(l) + s * (eps - l))``,
+minimized in closed form.
 
 :func:`sandwich_search` finds the pieces with the sandwich method (Eisner
 & Severance, J. ACM 23(4), 1976).  Each oracle call returns

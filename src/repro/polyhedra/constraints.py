@@ -193,11 +193,6 @@ class Polyhedron:
         """True iff the polyhedron has no points."""
         return not self.generators().points
 
-    def is_bounded(self) -> bool:
-        """True iff the polyhedron is a polytope (or empty)."""
-        gens = self.generators()
-        return not gens.points or gens.is_polytope
-
     def maximize(self, objective: LinExpr) -> Tuple[str, Optional[Fraction]]:
         """``(status, value)`` for ``max objective`` over the polyhedron.
 

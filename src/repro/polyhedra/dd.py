@@ -66,8 +66,9 @@ class GeneratorSet:
 
     @property
     def is_polytope(self) -> bool:
-        """True iff the polyhedron is bounded (no rays or lines)."""
-        return not self.rays and not self.lines
+        """True iff the polyhedron is bounded: empty, or no rays or lines.
+        (The double description of an empty polyhedron may keep rays.)"""
+        return not self.points or (not self.rays and not self.lines)
 
     def point_valuations(self) -> List[Dict[str, Fraction]]:
         """The generator points as variable valuations."""

@@ -10,9 +10,11 @@ from repro.lang import compile_source
 from repro.polyhedra import Polyhedron
 from repro.core import (
     InvariantMap,
+    azuma_baseline,
     exp_lin_syn,
     exp_low_syn,
     generate_interval_invariants,
+    hoeffding_synthesis,
     log_ptf_transition,
     sample_psi_points,
 )
@@ -162,3 +164,59 @@ class TestVerificationCatchesBadCertificates:
             cert.verify()
         except VerificationError:
             pass  # acceptable: wider premise than the certificate supports
+
+
+#: l_fail is unreachable (x never leaves [0, 6]): §5.1 and Azuma print -inf
+UNREACHABLE = """
+x := 0
+while x <= 5:
+    if prob(0.5):
+        x := x + 1
+assert x <= 100
+"""
+
+UPPER = {"hoeffding": hoeffding_synthesis, "azuma": azuma_baseline, "explinsyn": exp_lin_syn}
+REPRSM = ("hoeffding", "azuma")
+
+
+class TestPrintedBoundFollowsTheta:
+    """Every method's printed ``log_bound`` must follow from its state
+    function at the initial state, not only ExpLinSyn's."""
+
+    @pytest.fixture(scope="class")
+    def race_row(self):
+        from repro.programs import get_benchmark
+
+        inst = get_benchmark("Race", x0=40, y0=0)
+        return inst.pts, inst.invariants
+
+    @pytest.mark.parametrize("method", sorted(UPPER))
+    def test_lowered_upper_bound_rejected(self, race_row, method):
+        cert = UPPER[method](*race_row)
+        cert.verify()
+        cert.log_bound -= 5.0
+        with pytest.raises(VerificationError, match="below theta"):
+            cert.verify()
+
+    @pytest.mark.parametrize("method", REPRSM)
+    def test_minus_inf_rejected_while_fail_reachable(self, race_row, method):
+        cert = UPPER[method](*race_row)
+        cert.log_bound = float("-inf")
+        with pytest.raises(VerificationError, match="enters l_fail"):
+            cert.verify()
+
+    def test_raised_lower_bound_rejected(self):
+        from repro.programs import get_benchmark
+
+        inst = get_benchmark("M1DWalk", p="1e-7")
+        cert = exp_low_syn(inst.pts, inst.invariants)
+        assert cert.log_bound == pytest.approx(-1.98e-5, rel=0.01)
+        cert.log_bound /= 2  # still below 1, but above theta(init)
+        with pytest.raises(VerificationError, match="above theta"):
+            cert.verify()
+
+    @pytest.mark.parametrize("method", REPRSM)
+    def test_honest_minus_inf_verifies(self, method):
+        cert = UPPER[method](compile_source(UNREACHABLE, name="unreachable").pts)
+        assert cert.log_bound == float("-inf")
+        cert.verify()

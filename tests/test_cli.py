@@ -200,9 +200,9 @@ class TestSelftest:
     def test_all_families_pass(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        for family in ("hoeffding", "explinsyn", "explowsyn", "polynomial_lower"):
+        for family in ("hoeffding", "explinsyn", "explowsyn"):
             assert family in out
-        assert "4/4 families ok" in out
+        assert "3/3 families ok" in out
 
 
 @pytest.mark.chaos
@@ -214,4 +214,4 @@ def test_selftest_finishes_serially_when_the_pool_keeps_dying(capsys):
     plan = FaultPlan([FaultRule("worker.kill", match="selftest/", times=99)])
     with plan.installed():
         assert main(["selftest", "--jobs", "2"]) == 0
-    assert "4/4 families ok" in capsys.readouterr().out
+    assert "3/3 families ok" in capsys.readouterr().out

@@ -126,3 +126,18 @@ def test_cli_certificate_sample_lists_every_check(tmp_path, capsys):
         line for line in capsys.readouterr().out.splitlines() if line.startswith("ok ")
     ]
     assert documented == reported
+
+
+def test_cli_selftest_sample_names_the_families_selftest_runs(capsys):
+    # docs/CLI.md's selftest sample must list, in order, the families a
+    # real run reports, and the same "k/k families ok" count
+    from repro.cli import main
+
+    def families(text):
+        *rows, summary = [line.split() for line in text.splitlines() if line.strip()]
+        return [row[0] for row in rows], summary[1]
+
+    cli_md = (REPO_ROOT / "docs" / "CLI.md").read_text()
+    sample = cli_md.split("$ repro selftest\n", 1)[1].split("```", 1)[0]
+    assert main(["selftest"]) == 0
+    assert families(sample) == families(capsys.readouterr().out)

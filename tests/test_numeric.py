@@ -233,24 +233,15 @@ class TestConvexProgram:
         best = -math.log(0.001 * math.exp(3 * u) + 0.999 * math.exp(-u))
         assert -sol.objective == pytest.approx(best, abs=1e-8)
 
-    def test_warm_start_is_only_a_candidate(self):
-        def solve(warm_start=None):
-            prog = ConvexProgram()
-            prog.add_lse([(0.5, var("a") + 1, []), (0.5, var("a"), [])])
-            prog.add_linear_le(-var("b") - 3)
-            prog.add_lse([(1.0, var("a") + var("b") / 8, [])])
-            prog.set_objective(-var("a"))
-            return prog.solve(warm_start=warm_start)
-
-        cold = solve()
-        worse = solve({"a": -2.0, "b": 1.0})  # feasible, objective 2
-        assert worse.method == cold.method == "barrier"
-        assert worse.assignment == cold.assignment
-        # the optimum itself, which the margin keeps the solver off
-        best = -math.log(0.5 * (math.e + 1.0))
-        better = solve({"a": best, "b": -3.0})
-        assert better.method == "warm-start"
-        assert better.objective < cold.objective
+    def test_no_strictly_feasible_point_returns_zero(self):
+        # cosh(a) <= 1 holds only at a = 0: the barrier finds no interior,
+        # so solve returns the all-zero point (bound 1 in ExpLinSyn)
+        prog = ConvexProgram()
+        prog.add_lse([(0.5, var("a"), []), (0.5, -var("a"), [])])
+        prog.set_objective(-var("a"))
+        sol = prog.solve()
+        assert sol.method == "zero-fallback"
+        assert sol.assignment == {"a": 0.0} and sol.feasible
 
     def test_max_violation_reports_worst(self):
         prog = ConvexProgram()

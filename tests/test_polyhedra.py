@@ -184,9 +184,9 @@ class TestPolyhedronLPQueries:
         assert p.implies(AffineIneq.le(var("x"), -100))
 
     def test_is_bounded(self):
-        assert Polyhedron.from_box({"x": (0, 1), "y": (0, 1)}).is_bounded()
-        assert not Polyhedron.from_box({"x": (0, None)}).is_bounded()
-        assert Polyhedron.from_box({"x": (5, 3)}).is_bounded()  # empty
+        assert Polyhedron.from_box({"x": (0, 1), "y": (0, 1)}).generators().is_polytope
+        assert not Polyhedron.from_box({"x": (0, None)}).generators().is_polytope
+        assert Polyhedron.from_box({"x": (5, 3)}).generators().is_polytope  # empty
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,8 +273,8 @@ def test_exact_queries_agree_with_highs():
             )
         # bounded (or empty) iff HiGHS bounds every coordinate both ways
         bounded = "unbounded" not in ref_statuses[: len(axes)]
-        assert poly.is_bounded() == bounded, context
         gens = poly.generators()
+        assert gens.is_polytope == bounded, context
         seen["empty"] += empty
         seen["thin"] += kind == "slab" and not empty
         seen["unbounded"] += not bounded
