@@ -458,6 +458,15 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a state budget: an integer of at least 1 (the
+    initial state is always explored)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -500,15 +509,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="value-iteration bracket")
     common(p_exact)
-    p_exact.add_argument("--max-states", type=int, default=200_000)
+    p_exact.add_argument("--max-states", type=_positive_int, default=200_000)
     p_exact.add_argument(
         "--explore",
         choices=["auto", "scaled", "fraction"],
         default="auto",
         help="exploration engine: frontier batches on the program's "
         "fixed-point lattice (scaled; scale 1 on integer programs), or exact "
-        "Fraction interning (fraction); default auto takes the lattice "
-        "engine where admitted and where batching pays off",
+        "Fraction interning (fraction); default auto runs one BFS that "
+        "starts on Fraction interning and, where the lattice is admitted, "
+        "switches to frontier batches at the first wide BFS level",
     )
     p_exact.add_argument(
         "--solver",
@@ -580,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine workers the task grid fans out over (0 = all cores)",
     )
     p_fuzz.add_argument(
-        "--max-states", type=int, default=4096, help="state budget per run"
+        "--max-states", type=_positive_int, default=4096, help="state budget per run"
     )
     p_fuzz.add_argument(
         "--out",
@@ -615,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=None,
         help="override every workload's state budget (default: per-workload)",
     )

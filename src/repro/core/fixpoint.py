@@ -19,37 +19,46 @@ bracket remains rigorous.
 Engine architecture (see ``PERFORMANCE.md`` and ``docs/ARCHITECTURE.md``)
 -------------------------------------------------------------------------
 
-Exploration runs on one of two interchangeable engines producing
-*bit-identical* models:
+Exploration runs on two interchangeable engines producing *bit-identical*
+models, and ``explore="auto"`` (the default) splits one BFS between them:
 
-* **lattice frontier batches** (the fast path, ``explore="scaled"``):
-  when the PTS lives on a fixed-point lattice — per-variable denominator
-  LCMs ``s_v`` (:attr:`IntegralityReport.scale
-  <repro.pts.IntegralityReport>`, all ones on the integer lattice) — the
-  BFS explores the rescaled integers ``s_v * v``.  Guards compile to
-  stacked integer inequality matrices (each row multiplied by its own
-  positive integer so coefficients stay integral) and fork/draw updates
-  to ``int64`` affine maps, and the BFS advances a whole frontier per
-  step — successor batches are computed as matrix products, deduplicated
-  through one uint64 key per ``(location, values)`` row (every key match
-  verified row for row; two states under one key take the overflow
-  fallback) instead of per-state tuple interning, and admitted in exactly
-  the sequential discovery order, so state indices, truncation cuts and
-  COO triplet order match the scalar engine bit for bit; the lazy
-  ``index`` descales back to the exact rationals.  The translation is
-  validated by construction: one per-row admission rule (``_guard_row``)
-  makes the integer decision ``<= 0`` coincide with the reference
-  engine's float ``<= 1e-9`` decision on every in-range state, and any
-  state beyond its per-variable limit aborts the batch and falls back to
-  the exact path.
-  Models are labelled ``"int64"`` on an integer-lattice PTS (limits
-  ``2**31``) and ``"scaled-int64"`` otherwise (limits
-  ``min(2**31, s_v * 2**15)``).
 * **scalar Fraction interning** (``explore="fraction"``): the original
   state-interning BFS whose per-location transition logic is *compiled* —
   guards become float predicates and fork/draw updates become
   tuple-to-tuple stepper functions — handling non-lattice systems and
-  arbitrary magnitudes with exact rational arithmetic.
+  arbitrary magnitudes with exact rational arithmetic.  Its cost is per
+  state, so it is the cheap engine on narrow BFS levels.
+* **lattice frontier batches** (``explore="scaled"``): when the PTS lives
+  on a fixed-point lattice — per-variable denominator LCMs ``s_v``
+  (:attr:`IntegralityReport.scale <repro.pts.IntegralityReport>`, all
+  ones on the integer lattice) — the BFS explores the rescaled integers
+  ``s_v * v``.  Guards compile to stacked integer inequality matrices
+  (each row multiplied by its own positive integer so coefficients stay
+  integral) and fork/draw updates to ``int64`` affine maps, and the BFS
+  advances a whole level per step at a fixed number of numpy calls —
+  one guard product per location, one gathered affine map for every
+  successor, deduplication through one uint64 key per
+  ``(location, values)`` row (every key match verified row for row; two
+  states under one key take the overflow fallback) and one dict from key
+  to state index — admitting states in exactly the sequential discovery
+  order, so state indices, truncation cuts and COO triplet order match
+  the scalar engine bit for bit; the lazy ``index`` descales back to the
+  exact rationals.  The translation is validated by construction: one
+  per-row admission rule (``_guard_row``) makes the integer decision
+  ``<= 0`` coincide with the reference engine's float ``<= 1e-9``
+  decision on every in-range state, and any state beyond its
+  per-variable limit aborts the batch and falls back to the exact path.
+  Models are labelled ``"int64"`` on an integer-lattice PTS (limits
+  ``2**31``) and ``"scaled-int64"`` otherwise (limits
+  ``min(2**31, s_v * 2**15)``).
+
+Under ``"auto"`` the scalar engine runs the BFS until the next level holds
+``_BATCH_MIN_WIDTH`` states; on an admitted PTS it then converts the
+explored states to lattice rows and hands its tables — states, triplets,
+overflow masses, level digests — to the batched loop, which finishes the
+same BFS.  A state outside the admitted range at that point keeps the run
+scalar; an overflow after the handoff reruns the whole BFS on the scalar
+engine, the only restart left.
 
 Both emit COO triplets ``(state, successor, probability)`` plus
 fail/terminate/overflow masks, assembled into one ``scipy.sparse`` CSR
@@ -77,6 +86,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -120,7 +130,11 @@ State = Tuple[str, Tuple[Fraction, ...]]
 #: v5: one lattice lowering — int64 is the scale-1 case of the scaled
 #: plan, and exact guard rows of fractional PTSs are admitted (and their
 #: headroom recorded) against 2**52 instead of the gap rule
-FIXPOINT_FINGERPRINT = "scaled-int64-frontier.csr-jacobi.v5"
+#: v6: one BFS under auto — the scalar loop hands its tables to the
+#: batched lattice loop at the first wide level (the thin/tiny bailouts
+#: and their restarts are gone), which changes ``explore="auto"``'s
+#: engine label on small, bushy models
+FIXPOINT_FINGERPRINT = "scaled-int64-frontier.csr-jacobi.v6"
 
 #: per-variable scaled-magnitude limit of every admitted state on an
 #: integer-lattice PTS (the cap of every limit otherwise); states beyond
@@ -172,27 +186,16 @@ _KEY_COLLISION = "two distinct states share a 64-bit frontier key"
 
 _EXPLORE_MODES = ("auto", "scaled", "fraction")
 
-#: thin-frontier bailout (``explore="auto"`` only): after this many BFS
-#: levels, a run averaging fewer than ``_THIN_MIN_WIDTH`` states per level
-#: restarts on the scalar engine — per-batch numpy overhead makes batching
-#: a loss on long, narrow chains (1DWalk-shaped systems)
-_THIN_CHECK_BATCHES = 64
-_THIN_MIN_WIDTH = 8
-
-#: tiny-model bailout (``explore="auto"`` only): a fully explored model
-#: below this many states re-runs on the scalar Fraction engine — per-batch
-#: numpy setup costs more than the whole scalar BFS on such models (the
-#: 13-state gambler measured a 0.29x "speedup" under lattice batching)
-_TINY_MODEL_STATES = 256
+#: ``explore="auto"`` runs the scalar BFS until the next level holds at
+#: least this many states, then hands its tables to the batched lattice
+#: loop: a batched level costs a fixed ~150 µs of numpy calls, a scalar
+#: state 9–22 µs (see PERFORMANCE.md for the width sweep)
+_BATCH_MIN_WIDTH = 16
 
 
 class _IntOverflow(Exception):
     """Internal: a frontier batch left the admitted per-variable range, or
     two distinct states met under one 64-bit key (the message says which)."""
-
-
-class _ThinFrontier(Exception):
-    """Internal: frontier too narrow for batching to pay off."""
 
 
 @dataclass
@@ -358,26 +361,33 @@ def _compile_plan(pts: PTS):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class _IntLocPlan:
     """Vectorized transition logic of one location.
 
-    ``guard_matrix``/``guard_const`` stack every inequality row of every
-    transition out of the location; ``guard_slices[t]`` is the row range of
-    transition ``t`` (first-match dispatch slices the evaluated matrix).
-    ``steppers[t]`` lists the fork x draw combinations of transition ``t``
-    as ``(probability, destination_loc_id, A, c)`` with
-    ``succ = values @ A.T + c``.
+    ``guard_t`` holds every inequality row of every transition out of the
+    location as a column, so ``values @ guard_t > guard_bound`` marks the
+    violated rows (``row . values + const > 0``), and ``member[r, t]`` is 1
+    for the rows of transition ``t``: ``(violated @ member) == 0`` is the
+    enabled-transition mask (first match = argmax).  Both products run in
+    float64, exactly: admission keeps every lowered row's magnitude
+    ``sum(|row_j| * limit_j) + |const|`` below ``2**53`` — exact rows below
+    ``2**52``, gap rows below ``_SCALED_GAP_LIMIT`` times the slack rule's
+    cap ``_SCALED_GUARD_SLACK / (4 * _FLOAT_ULP)`` on their real
+    magnitude — so at in-range states every product and partial sum is an
+    integer float64 represents, in any summation order.
+    Transition ``t`` fires the plan's steppers ``first_step[t]`` to
+    ``first_step[t] + step_count[t] - 1``, in fork x draw order.
     """
 
-    __slots__ = ("guard_matrix", "guard_const", "guard_slices", "steppers")
-
-    def __init__(self, guard_matrix, guard_const, guard_slices, steppers):
-        self.guard_matrix = guard_matrix
-        self.guard_const = guard_const
-        self.guard_slices = guard_slices
-        self.steppers = steppers
+    guard_t: np.ndarray
+    guard_bound: np.ndarray
+    member: np.ndarray
+    first_step: np.ndarray
+    step_count: np.ndarray
 
 
+@dataclass
 class _IntPlan:
     """A compiled frontier-batch exploration plan plus its lattice.
 
@@ -392,15 +402,26 @@ class _IntPlan:
     every stepper's headroom, in transition order; an independent checker
     re-derives the same record from the PTS (see
     :mod:`repro.core.runcert`).
+
+    Stepper ``k`` (every fork x draw combination of every transition, in
+    transition order) fires with probability ``step_prob[k]`` and maps a
+    state's scaled values ``v`` to the row ``[location, values] =
+    step_row[k] + [0, step_a[k] @ v]``: ``step_row[k]`` is the destination
+    and the constant part.  ``linear`` is false when every ``step_a[k]``
+    is the identity, so successors are plain translations.
     """
 
-    __slots__ = ("by_loc", "scale", "limits", "admission")
+    by_loc: Dict[int, _IntLocPlan]
+    scale: List[int]
+    limits: List[int]
+    admission: Dict
+    step_prob: np.ndarray
+    step_row: np.ndarray
+    step_a: np.ndarray
+    linear: bool = field(init=False)
 
-    def __init__(self, by_loc, scale, limits, admission):
-        self.by_loc = by_loc
-        self.scale = scale
-        self.limits = limits
-        self.admission = admission
+    def __post_init__(self) -> None:
+        self.linear = bool((self.step_a != np.eye(len(self.scale), dtype=np.int64)).any())
 
 
 def _guard_row(expr, var_index, scale, limits, ti: int, k: int) -> Optional[Dict]:
@@ -539,6 +560,9 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
     step_entries: List[Dict] = []
     rows_by_loc: Dict[int, List[Tuple]] = {}
     step_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, int]] = {}
+    step_prob: List[float] = []
+    step_row: List[List[int]] = []
+    step_a: List[np.ndarray] = []
     for ti, t in enumerate(pts.transitions):
         guard_rows: List[List[int]] = []
         guard_consts: List[int] = []
@@ -549,7 +573,7 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
             guard_entries.append(entry)
             guard_rows.append(entry["row"])
             guard_consts.append(entry["const"])
-        steppers: List[Tuple[float, int, np.ndarray, np.ndarray]] = []
+        first_step = len(step_prob)
         for fi, fork in enumerate(t.forks):
             p_fork = float(fork.probability)
             dest = loc_id[fork.destination]
@@ -567,9 +591,11 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
                 step_entries.append(
                     {"transition": ti, "fork": fi, "draw": d_idx, "headroom": headroom}
                 )
-                steppers.append((p_fork * draw_p, dest, a_mat, c_vec))
+                step_prob.append(p_fork * draw_p)
+                step_row.append([dest] + c_vec.tolist())
+                step_a.append(a_mat)
         rows_by_loc.setdefault(loc_id[t.source], []).append(
-            (guard_rows, guard_consts, steppers)
+            (guard_rows, guard_consts, first_step, len(step_prob) - first_step)
         )
 
     admission = {
@@ -593,21 +619,29 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
     for lid, transitions in rows_by_loc.items():
         all_rows: List[List[int]] = []
         all_consts: List[int] = []
-        slices: List[Tuple[int, int]] = []
-        stepper_lists = []
-        for guard_rows, guard_consts, steppers in transitions:
-            start = len(all_rows)
+        member = np.zeros(
+            (sum(len(t[0]) for t in transitions), len(transitions)), dtype=np.float64
+        )
+        for t_idx, (guard_rows, guard_consts, _, _) in enumerate(transitions):
+            member[len(all_rows) : len(all_rows) + len(guard_rows), t_idx] = 1.0
             all_rows.extend(guard_rows)
             all_consts.extend(guard_consts)
-            slices.append((start, len(all_rows)))
-            stepper_lists.append(steppers)
         by_loc[lid] = _IntLocPlan(
-            np.array(all_rows, dtype=np.int64).reshape(len(all_rows), nv),
-            np.array(all_consts, dtype=np.int64),
-            slices,
-            stepper_lists,
+            np.array(all_rows, dtype=np.float64).reshape(len(all_rows), nv).T,
+            -np.array(all_consts, dtype=np.float64),
+            member,
+            np.array([t[2] for t in transitions], dtype=np.int64),
+            np.array([t[3] for t in transitions], dtype=np.int64),
         )
-    return _IntPlan(by_loc, scale, limits, admission)
+    return _IntPlan(
+        by_loc,
+        scale,
+        limits,
+        admission,
+        np.array(step_prob, dtype=np.float64),
+        np.array(step_row, dtype=np.int64).reshape(len(step_row), nv + 1),
+        np.array(step_a, dtype=np.int64).reshape(len(step_a), nv, nv),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +713,17 @@ def build_sparse_model(
 ) -> SparseFixpointModel:
     """Explore the reachable fragment and assemble the sparse model.
 
-    ``explore`` selects the exploration engine: ``"auto"`` (default) runs
-    the lattice frontier-batch BFS whenever the PTS is admitted by
-    :func:`_compile_int_plan` and silently falls back to the exact path
-    on inadmissible systems, on value overflow mid-exploration, and on
-    thin or tiny models where batching does not pay; ``"scaled"`` forces
-    the lattice engine (raising :class:`ModelError` when it cannot run,
-    and never bailing out to the scalar engine); ``"fraction"`` forces
-    the exact scalar path.
+    ``explore`` selects the exploration engine.  ``"auto"`` (default)
+    runs one BFS: the scalar level loop explores while levels are narrow,
+    and when the PTS is admitted by :func:`_compile_int_plan` it hands its
+    tables to the batched lattice loop at the first level holding at
+    least ``_BATCH_MIN_WIDTH`` states.  A state outside the admitted range
+    (or two states under one key) at that point keeps the run scalar; an
+    overflow after the handoff rebuilds the model on the scalar engine.
+    ``"scaled"`` batches every level (raising :class:`ModelError` when
+    the lattice engine cannot run); ``"fraction"`` never leaves the exact
+    scalar path.  ``max_states`` must be at least 1: the initial state is
+    always explored.
 
     All engines visit states in exactly the reference engine's order (so
     ``max_states`` truncation cuts the same frontier) and emit COO triplets
@@ -694,66 +731,93 @@ def build_sparse_model(
     """
     if explore not in _EXPLORE_MODES:
         raise ValueError(f"explore must be one of {_EXPLORE_MODES}, got {explore!r}")
-    if explore != "fraction":
-        plan = _compile_int_plan(pts)
-        if plan is None:
-            if explore == "scaled":
-                # scale_reason is empty when a lattice exists but a row is refused
-                raise ModelError(
-                    "scaled exploration requires a fixed-point-admissible PTS: "
-                    + (
-                        pts.integrality().scale_reason
-                        or "coefficient magnitudes or guard gaps exceed the admission bounds"
-                    )
-                )
-        else:
-            try:
-                # forced scaled disables the thin-frontier bailout so tests
-                # and benchmarks exercise the batched path deterministically
-                return _build_model_int(
-                    pts, plan, max_states, allow_thin_bailout=explore == "auto"
-                )
-            except _IntOverflow as exc:
-                if explore == "scaled":
-                    why = str(exc) or (
-                        f"state values overflowed the {plan.admission['lattice']} "
-                        f"frontier limit (|scaled value| beyond the per-variable "
-                        f"bound, at most {_INT_VALUE_LIMIT})"
-                    )
-                    raise ModelError(f"{why}; rerun with explore='fraction'") from None
-                # fall through to the exact path, which handles any magnitude
-                # and interns exact state tuples instead of 64-bit keys
-            except _ThinFrontier:
-                pass  # narrow chain: the scalar engine is faster
-    return _build_model_exact(pts, max_states)
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    plan = None if explore == "fraction" else _compile_int_plan(pts)
+    if explore != "scaled":
+        try:
+            return _build_model_exact(pts, max_states, plan)
+        except _IntOverflow:
+            # a batched level left the admitted range or met a shared key:
+            # the exact path handles any magnitude and interns exact tuples
+            return _build_model_exact(pts, max_states)
+    if plan is None:
+        # scale_reason is empty when a lattice exists but a row is refused
+        raise ModelError(
+            "scaled exploration requires a fixed-point-admissible PTS: "
+            + (
+                pts.integrality().scale_reason
+                or "coefficient magnitudes or guard gaps exceed the admission bounds"
+            )
+        )
+    prefix = _ScalarPrefix.initial(pts)
+    try:
+        tables = _lattice_tables(pts, plan, prefix.order)
+        return _build_model_int(pts, plan, max_states, prefix, tables)
+    except _IntOverflow as exc:
+        why = str(exc) or (
+            f"state values overflowed the {plan.admission['lattice']} "
+            f"frontier limit (|scaled value| beyond the per-variable "
+            f"bound, at most {_INT_VALUE_LIMIT})"
+        )
+        raise ModelError(f"{why}; rerun with explore='fraction'") from None
 
 
-def _build_model_exact(pts: PTS, max_states: int) -> SparseFixpointModel:
+@dataclass
+class _ScalarPrefix:
+    """What the scalar BFS has built when it hands over at a level
+    boundary: the states in discovery order (levels before
+    ``level_start`` fully expanded), the COO triplets and overflow masses
+    so far, the truncation flag and the level digests."""
+
+    order: List[State]
+    level_start: int
+    rows: List[int]
+    cols: List[int]
+    probs: List[float]
+    overflow: Dict[int, float]
+    truncated: bool
+    acc: DigestAccumulator
+
+    @staticmethod
+    def initial(pts: PTS) -> "_ScalarPrefix":
+        init = tuple(pts.init_valuation[v] for v in pts.program_vars)
+        return _ScalarPrefix(
+            [(pts.init_location, init)], 0, [], [], [], {}, False, DigestAccumulator()
+        )
+
+
+def _build_model_exact(
+    pts: PTS, max_states: int, plan: Optional[_IntPlan] = None
+) -> SparseFixpointModel:
     """The scalar engine: state-interning BFS over compiled tuple steppers.
 
     The BFS walks the same state sequence it always did, but in *level
     windows* — the window ``[level_start, level_stop)`` snapshots the
     intern table exactly like the frontier engines' batch windows, so the
     per-level certificate digests agree across engines bit for bit.
+    Given a lattice ``plan``, the first level of ``_BATCH_MIN_WIDTH`` or
+    more states hands the run to :func:`_build_model_int` instead.
     """
-    plan = _compile_plan(pts)
+    compiled = _compile_plan(pts)
     loc_id = {name: i for i, name in enumerate(pts.locations)}
-    init_state: State = (
-        pts.init_location,
-        tuple(pts.init_valuation[v] for v in pts.program_vars),
-    )
-    index: Dict[State, int] = {init_state: 0}
-    order: List[State] = [init_state]
-    rows: List[int] = []
-    cols: List[int] = []
-    probs: List[float] = []
-    overflow: Dict[int, float] = {}
+    prefix = _ScalarPrefix.initial(pts)
+    order, rows, cols, probs = prefix.order, prefix.rows, prefix.cols, prefix.probs
+    overflow, acc = prefix.overflow, prefix.acc
+    index: Dict[State, int] = {order[0]: 0}
     truncated = False
     is_sink = pts.is_sink
-    acc = DigestAccumulator()
     level_start = 0
     while level_start < len(order):
         level_stop = len(order)
+        if plan is not None and level_stop - level_start >= _BATCH_MIN_WIDTH:
+            prefix.level_start, prefix.truncated = level_start, truncated
+            try:
+                tables = _lattice_tables(pts, plan, order)
+            except _IntOverflow:
+                plan = None  # an out-of-range state or a shared key: stay scalar
+            else:
+                return _build_model_int(pts, plan, max_states, prefix, tables)
         acc.add_level(
             [
                 exact_state_row(loc_id[loc], values)
@@ -765,7 +829,7 @@ def _build_model_exact(pts: PTS, max_states: int) -> SparseFixpointModel:
             if is_sink(loc):
                 continue
             fvals = [float(x) for x in values]
-            for guard_fn, steppers in plan.get(loc, ()):
+            for guard_fn, steppers in compiled.get(loc, ()):
                 if guard_fn(fvals):
                     break
             else:
@@ -830,195 +894,169 @@ def _frontier_keys(comb: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _lattice_tables(
+    pts: PTS, plan: _IntPlan, order: List[State]
+) -> Tuple[np.ndarray, Dict[int, int]]:
+    """The lattice engine's tables of the exact states ``order``: one
+    ``[location, scaled values...]`` int64 row per state, and the intern
+    dict from each row's 64-bit key to its index.
+
+    Raises :class:`_IntOverflow` when a state leaves the admitted range
+    ``plan.limits`` (or is off the lattice, which admission rules out),
+    and with ``_KEY_COLLISION`` when two of the distinct states share a
+    key.
+    """
+    loc_id = {name: i for i, name in enumerate(pts.locations)}
+    rows = []
+    for loc, values in order:
+        row = [loc_id[loc]]
+        for value, s, limit in zip(values, plan.scale, plan.limits):
+            scaled = value * s
+            if scaled.denominator != 1 or abs(scaled) > limit:
+                raise _IntOverflow
+            row.append(int(scaled))
+        rows.append(row)
+    states = np.array(rows, dtype=np.int64)
+    keys = dict(zip(_frontier_keys(states).tolist(), range(len(rows))))
+    if len(keys) != len(rows):
+        raise _IntOverflow(_KEY_COLLISION)
+    return states, keys
+
+
 def _build_model_int(
     pts: PTS,
     plan: _IntPlan,
     max_states: int,
-    allow_thin_bailout: bool = False,
+    prefix: _ScalarPrefix,
+    tables: Tuple[np.ndarray, Dict[int, int]],
 ) -> SparseFixpointModel:
     """The lattice engine: frontier-batch BFS with verified uint64 keys.
 
-    Each BFS level is processed as numpy batches — guard dispatch is one
-    integer matrix product per location group, successor generation one
-    product per fork/draw stepper — and candidates are reordered to the
-    sequential ``(source, stepper)`` discovery order before ``np.unique``
-    over their :func:`_frontier_keys` assigns new state indices in
-    first-appearance order, so interning, truncation and triplet emission
-    replicate the scalar engine exactly.  The global intern table is a
-    *sorted* uint64 key array probed with ``np.searchsorted`` — no
-    per-state Python hashing anywhere.  Keys are checked, not trusted:
-    every candidate must equal its batch representative and every table
-    hit the stored row, and a mismatch (two states under one key) raises
-    :class:`_IntOverflow`.  The BFS runs entirely in fixed-point
-    coordinates (``plan.scale * value``, an exact bijection onto the
-    reachable rationals); only the lazy ``index`` descales back.  Raises
-    :class:`_IntOverflow` the moment any successor leaves the per-variable
-    admitted range ``plan.limits`` and :class:`_ThinFrontier` (when
-    allowed) on chain-shaped systems whose levels are too narrow to
-    amortize batching, or on fully explored models too small
-    (``< _TINY_MODEL_STATES``) for batching to have paid for itself.
+    Picks up where the scalar BFS ``prefix`` stopped (at level 0 for a
+    forced ``"scaled"`` run), from its states as ``tables`` (see
+    :func:`_lattice_tables`).  Each BFS level costs a fixed number of
+    whole-level numpy calls plus one guard product per present location:
+    the first enabled transition of every state picks a run of the plan's
+    global steppers, candidates are laid out directly in sequential
+    ``(source, stepper)`` discovery order (a state's first candidate sits
+    at the exclusive cumsum of the stepper counts before it), and one
+    gathered affine map computes every successor.  Within the level,
+    candidates deduplicate by an argsort of their :func:`_frontier_keys`
+    (first occurrences by ``np.minimum.reduceat``); across levels, one
+    dict from key to state index interns them, and new states are
+    admitted in first-appearance order — so interning, truncation and
+    triplet emission replicate the scalar engine exactly.  Keys are
+    checked, not trusted: every candidate must equal its level
+    representative and every table hit the stored row, and a mismatch
+    (two states under one key) raises :class:`_IntOverflow`.  The BFS runs
+    entirely in fixed-point coordinates (``plan.scale * value``, an exact
+    bijection onto the reachable rationals); only the lazy ``index``
+    descales back.  Raises :class:`_IntOverflow` the moment an admitted
+    successor leaves the per-variable range ``plan.limits``.
     """
     loc_names = pts.locations
     loc_id = {name: i for i, name in enumerate(loc_names)}
-    is_sink = np.array([pts.is_sink(name) for name in loc_names], dtype=bool)
+    sink = np.array([pts.is_sink(name) for name in loc_names], dtype=bool)
     program_vars = pts.program_vars
     nv = len(program_vars)
-    width = nv + 1  # location id + values, the dedup record
     limits = np.array(plan.limits, dtype=np.int64)
-
-    init_vals = []
-    for v, s in zip(program_vars, plan.scale):
-        value = pts.init_valuation[v] * s
-        if value.denominator != 1:  # pragma: no cover - admission folds
-            raise _IntOverflow  # init denominators into the scale
-        init_vals.append(int(value))
-    if any(abs(x) > limit for x, limit in zip(init_vals, plan.limits)):
-        raise _IntOverflow
-
-    cap = 1024
-    vals = np.zeros((cap, nv), dtype=np.int64)
-    locs = np.zeros(cap, dtype=np.int64)
-    over = np.zeros(cap, dtype=np.float64)
-    vals[0] = init_vals
-    locs[0] = loc_id[pts.init_location]
-    n = 1
-
-    first_rec = np.empty((1, width), dtype=np.int64)
-    first_rec[0, 0] = locs[0]
-    first_rec[0, 1:] = vals[0]
-    # two-tier sorted intern table (LSM-style): fresh keys go into the small
-    # `side` arrays (cheap O(|side|) inserts); when side overflows it merges
-    # into `main` once, so the O(n) rebuild happens every ~8k admissions
-    # instead of every batch.  Probes are two binary searches.
-    main_keys = _frontier_keys(first_rec)
-    main_gidx = np.zeros(1, dtype=np.int64)
-    side_keys = main_keys[:0]
-    side_gidx = main_gidx[:0]
-    _SIDE_LIMIT = 8192
-
-    rows_chunks: List[np.ndarray] = []
-    cols_chunks: List[np.ndarray] = []
-    probs_chunks: List[np.ndarray] = []
-    truncated = False
-    batches = 0
-    acc = DigestAccumulator()
     scale_row = np.array(plan.scale, dtype=np.int64).reshape(1, nv)
 
-    base = 0
+    prefix_states, keys = tables
+    n = len(prefix_states)
+    cap = max(1024, 2 * n)
+    # one [location, scaled values...] row per state
+    states = np.zeros((cap, nv + 1), dtype=np.int64)
+    states[:n] = prefix_states
+    over = np.zeros(cap, dtype=np.float64)
+    for i, mass in prefix.overflow.items():
+        over[i] = mass
+    rows_chunks = [np.array(prefix.rows, dtype=np.int64)]
+    cols_chunks = [np.array(prefix.cols, dtype=np.int64)]
+    probs_chunks = [np.array(prefix.probs, dtype=np.float64)]
+    truncated = prefix.truncated
+    acc = prefix.acc
+
+    base = prefix.level_start
     while base < n:
         stop = n
-        batch_locs = locs[base:stop]
-        batch_vals = vals[base:stop]
-        acc.add_level(canonical_level_rows(batch_locs, batch_vals, scale_row))
+        width = stop - base
+        level_locs = states[base:stop, 0]
+        level_vals = states[base:stop, 1:]
+        acc.add_level(canonical_level_rows(level_locs, level_vals, scale_row))
 
-        c_src: List[np.ndarray] = []
-        c_rank: List[np.ndarray] = []
-        c_loc: List[np.ndarray] = []
-        c_vals: List[np.ndarray] = []
-        c_prob: List[np.ndarray] = []
-        for lid in np.unique(batch_locs):
-            lid = int(lid)
-            if is_sink[lid]:
-                continue
-            sel = np.nonzero(batch_locs == lid)[0]
-            group = batch_vals[sel]
+        # dispatch: the first enabled transition's run of global steppers
+        count = np.zeros(width, dtype=np.int64)
+        first = np.zeros(width, dtype=np.int64)
+        present = np.bincount(level_locs, minlength=len(loc_names))
+        present[sink] = 0
+        for lid in np.flatnonzero(present).tolist():
+            sel = slice(None) if present[lid] == width else np.flatnonzero(level_locs == lid)
+            group = level_vals[sel]
             lp = plan.by_loc.get(lid)
             if lp is None:
-                valuation = dict(zip(program_vars, (int(x) for x in group[0])))
-                raise ModelError(
-                    f"no enabled transition at {loc_names[lid]!r} with {valuation}"
-                )
-            if lp.guard_matrix.size:
-                holds = (group @ lp.guard_matrix.T + lp.guard_const) <= 0
+                enabled = np.zeros((len(group), 1), dtype=bool)
             else:
-                holds = np.ones((len(group), 0), dtype=bool)
-            enabled = np.column_stack(
-                [holds[:, a:b].all(axis=1) for a, b in lp.guard_slices]
-            )
-            if not enabled.any(axis=1).all():
-                bad = int(np.nonzero(~enabled.any(axis=1))[0][0])
+                violated = group.astype(np.float64) @ lp.guard_t > lp.guard_bound
+                enabled = (violated @ lp.member) == 0
+            stuck = ~enabled.any(axis=1)
+            if stuck.any():
+                bad = int(np.flatnonzero(stuck)[0])
                 valuation = dict(zip(program_vars, (int(x) for x in group[bad])))
                 raise ModelError(
                     f"no enabled transition at {loc_names[lid]!r} with {valuation}"
                 )
             choice = enabled.argmax(axis=1)
-            for t_idx, steppers in enumerate(lp.steppers):
-                t_sel = sel[choice == t_idx]
-                if not len(t_sel):
-                    continue
-                t_vals = batch_vals[t_sel]
-                for rank, (p, dest, a_mat, c_vec) in enumerate(steppers):
-                    c_src.append(t_sel)
-                    c_rank.append(np.full(len(t_sel), rank, dtype=np.int64))
-                    c_loc.append(np.full(len(t_sel), dest, dtype=np.int64))
-                    c_vals.append(t_vals @ a_mat.T + c_vec)
-                    c_prob.append(np.full(len(t_sel), p, dtype=np.float64))
+            count[sel] = lp.step_count[choice]
+            first[sel] = lp.first_step[choice]
 
-        if not c_src:
+        # candidates in sequential discovery order: source, then stepper
+        ends = np.cumsum(count)
+        total = int(ends[-1])
+        if not total:
             base = stop
             continue
-        src = np.concatenate(c_src)
-        rank = np.concatenate(c_rank)
-        dest_loc = np.concatenate(c_loc)
-        succ = np.vstack(c_vals)
-        prob = np.concatenate(c_prob)
-        # sequential discovery order: source position, then stepper rank
-        emit_order = np.lexsort((rank, src))
-        src = src[emit_order]
-        dest_loc = dest_loc[emit_order]
-        succ = succ[emit_order]
-        prob = prob[emit_order]
+        step = np.repeat(first - ends + count, count)
+        step += np.arange(total)
+        cand = plan.step_row[step]
+        moved = np.repeat(level_vals, count, axis=0)
+        if plan.linear:
+            moved = np.einsum("cvj,cj->cv", plan.step_a[step], moved)
+        cand[:, 1:] += moved
+        prob = plan.step_prob[step]
 
-        comb = np.empty((len(src), width), dtype=np.int64)
-        comb[:, 0] = dest_loc
-        comb[:, 1:] = succ
-        uniq, first, inverse = np.unique(
-            _frontier_keys(comb), return_index=True, return_inverse=True
-        )
-        if not (comb == comb[first[inverse]]).all():
+        # dedup within the level: representative = first occurrence
+        cand_keys = _frontier_keys(cand)
+        by_key = np.argsort(cand_keys)
+        sorted_keys = cand_keys[by_key]
+        head = np.empty(total, dtype=bool)
+        head[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        uniq = sorted_keys[starts]
+        rep = np.minimum.reduceat(by_key, starts)
+        inverse = np.empty(total, dtype=np.int64)
+        inverse[by_key] = np.cumsum(head) - 1
+        if not (cand == cand[rep[inverse]]).all():
             raise _IntOverflow(_KEY_COLLISION)
-        gidx = np.full(len(uniq), -1, dtype=np.int64)
-        pos = np.searchsorted(main_keys, uniq)
-        clipped = np.minimum(pos, len(main_keys) - 1)
-        known = main_keys[clipped] == uniq
-        gidx[known] = main_gidx[pos[known]]
-        if len(side_keys):
-            pos = np.searchsorted(side_keys, uniq)
-            clipped = np.minimum(pos, len(side_keys) - 1)
-            in_side = side_keys[clipped] == uniq
-            gidx[in_side] = side_gidx[pos[in_side]]
-            known |= in_side
-        hits = np.nonzero(known)[0]
-        if len(hits):
-            g, rec = gidx[hits], comb[first[hits]]
-            if not ((locs[g] == rec[:, 0]).all() and (vals[g] == rec[:, 1:]).all()):
-                raise _IntOverflow(_KEY_COLLISION)
-        new_ks = np.nonzero(~known)[0]
-        if len(new_ks):
-            # admit in first-appearance (= sequential discovery) order
-            new_ks = new_ks[np.argsort(first[new_ks], kind="stable")]
+
+        # intern: probe the table, verify hits, admit the rest in order
+        gidx = np.fromiter(
+            map(keys.get, uniq.tolist(), repeat(-1)), dtype=np.int64, count=len(uniq)
+        )
+        known = gidx >= 0
+        if not (states[gidx[known]] == cand[rep[known]]).all():
+            raise _IntOverflow(_KEY_COLLISION)
+        new = np.flatnonzero(~known)
+        if len(new):
+            new = new[np.argsort(rep[new])]
             room = max_states - n
-            if len(new_ks) > room:
+            if len(new) > room:
                 truncated = True
-                new_ks = new_ks[:room]
-            m = len(new_ks)
+                new = new[:room]
+            m = len(new)
             if m:
-                if n + m > cap:
-                    while cap < n + m:
-                        cap *= 2
-                    # explicit grow-and-copy (np.resize would repeat-fill);
-                    # live batch views keep the old buffers alive
-                    vals_grown = np.zeros((cap, nv), dtype=np.int64)
-                    vals_grown[:n] = vals[:n]
-                    vals = vals_grown
-                    locs_grown = np.zeros(cap, dtype=np.int64)
-                    locs_grown[:n] = locs[:n]
-                    locs = locs_grown
-                    over_grown = np.zeros(cap, dtype=np.float64)
-                    over_grown[:n] = over[:n]
-                    over = over_grown
-                admitted_rows = first[new_ks]
-                admitted_vals = succ[admitted_rows]
+                admitted = cand[rep[new]]
                 # range-check only states actually admitted: candidates the
                 # max_states budget drops (or duplicates of in-range states)
                 # may carry any magnitude — they never feed guard evaluation.
@@ -1026,63 +1064,43 @@ def _build_model_int(
                 # is also what keeps the next level's stepper products
                 # inside int64 (and, on scaled lattices, the reference
                 # engine's float guard evaluation within the admitted error)
-                if admitted_vals.size and bool(
-                    (np.abs(admitted_vals) > limits).any()
-                ):
+                if (np.abs(admitted[:, 1:]) > limits).any():
                     raise _IntOverflow
-                vals[n : n + m] = admitted_vals
-                locs[n : n + m] = dest_loc[admitted_rows]
-                gidx[new_ks] = n + np.arange(m, dtype=np.int64)
-                # admit into the side tier (ascending positions into uniq =
-                # ascending key order), spilling into main when it overflows
-                adm = np.sort(new_ks)
-                ins = np.searchsorted(side_keys, uniq[adm])
-                side_keys = np.insert(side_keys, ins, uniq[adm])
-                side_gidx = np.insert(side_gidx, ins, gidx[adm])
-                if len(side_keys) > _SIDE_LIMIT:
-                    ins = np.searchsorted(main_keys, side_keys)
-                    main_keys = np.insert(main_keys, ins, side_keys)
-                    main_gidx = np.insert(main_gidx, ins, side_gidx)
-                    side_keys = side_keys[:0]
-                    side_gidx = side_gidx[:0]
+                if n + m > cap:
+                    while cap < n + m:
+                        cap *= 2
+                    # explicit grow-and-copy (np.resize would repeat-fill);
+                    # the live level views keep the old buffer alive
+                    states_grown = np.zeros((cap, nv + 1), dtype=np.int64)
+                    states_grown[:n] = states[:n]
+                    states = states_grown
+                    over_grown = np.zeros(cap, dtype=np.float64)
+                    over_grown[:n] = over[:n]
+                    over = over_grown
+                states[n : n + m] = admitted
+                gidx[new] = np.arange(n, n + m)
+                keys.update(zip(uniq[new].tolist(), range(n, n + m)))
                 n += m
+
         cols = gidx[inverse]
-        emit = cols >= 0
-        rows_chunks.append(src[emit] + base)
-        cols_chunks.append(cols[emit])
-        probs_chunks.append(prob[emit])
-        dropped = ~emit
+        rows = np.repeat(np.arange(base, stop), count)
+        dropped = cols < 0
         if dropped.any():
-            np.add.at(over, src[dropped] + base, prob[dropped])
+            np.add.at(over, rows[dropped], prob[dropped])
+            kept = ~dropped
+            rows, cols, prob = rows[kept], cols[kept], prob[kept]
+        rows_chunks.append(rows)
+        cols_chunks.append(cols)
+        probs_chunks.append(prob)
         base = stop
-        batches += 1
-        if (
-            allow_thin_bailout
-            and batches == _THIN_CHECK_BATCHES
-            and n < _THIN_CHECK_BATCHES * _THIN_MIN_WIDTH
-        ):
-            raise _ThinFrontier
 
-    if allow_thin_bailout and n < _TINY_MODEL_STATES:
-        # the whole reachable set is tiny: batching never amortized its
-        # per-level numpy setup, so re-run on the scalar engine (cheap at
-        # this size, and what `explore="auto"` should have picked)
-        raise _ThinFrontier
-
-    vals = vals[:n]
-    locs = locs[:n]
-    over = over[:n]
-    rows = np.concatenate(rows_chunks) if rows_chunks else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols_chunks) if cols_chunks else np.empty(0, dtype=np.int64)
-    probs = (
-        np.concatenate(probs_chunks) if probs_chunks else np.empty(0, dtype=np.float64)
-    )
-
+    locs = states[:n, 0]
+    vals = states[:n, 1:]
     b_lower = np.zeros(n)
     x0_upper = np.ones(n)
     b_lower[locs == loc_id[pts.fail_location]] = 1.0
     x0_upper[locs == loc_id[pts.term_location]] = 0.0
-    b_upper = b_lower + over
+    b_upper = b_lower + over[:n]
 
     def index_builder() -> Dict[State, int]:
         # descale back to the exact representation: Fraction(k, s)
@@ -1102,7 +1120,12 @@ def _build_model_int(
 
     return SparseFixpointModel(
         n=n,
-        matrix=_matrix_from_triplets(n, rows, cols, probs),
+        matrix=_matrix_from_triplets(
+            n,
+            np.concatenate(rows_chunks),
+            np.concatenate(cols_chunks),
+            np.concatenate(probs_chunks),
+        ),
         b_lower=b_lower,
         b_upper=b_upper,
         x0_lower=b_lower.copy(),

@@ -18,6 +18,7 @@ __all__ = [
     "SLOW_MIXING_WORKLOADS",
     "SLOW_MIXING_ANALYTIC_VPF",
     "append_bench_run",
+    "bench_host",
     "best_recorded_seconds",
     "best_recorded_sparse_seconds",
     "explore_timings",
@@ -123,7 +124,7 @@ FIXPOINT_WORKLOADS: Dict[str, Tuple[str, int, bool]] = {
     ),
     # Table 2's M1DWalk (repro.programs.hardware.m1dwalk, p=1e-7): integer
     # lattice (fork probabilities never enter a state), but a width-2 chain
-    # — the thin-frontier bailout keeps it on the scalar engine under auto.
+    # — no level is wide enough for auto to hand it to the batched loop.
     # Budgeted at 5k states: the chain is slow-mixing, and the reference
     # engine's pure-Python sweeps grow superlinearly with the budget
     "m1dwalk-5k": (
@@ -205,12 +206,29 @@ def explore_timings(
     return fields
 
 
+def bench_host() -> Dict[str, object]:
+    """The machine a run measured: CPU count and the Python, numpy and
+    scipy versions."""
+    import os
+    import platform
+
+    import numpy
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def append_bench_run(
     path, results: List[dict], source: Optional[str] = None
 ) -> int:
-    """Append one timestamped run to the ``{"runs": [...]}`` history at
-    ``path`` (creating or resetting it if absent/corrupt); returns the new
-    run count."""
+    """Append one timestamped run, with its :func:`bench_host`, to the
+    ``{"runs": [...]}`` history at ``path`` (creating or resetting it if
+    absent/corrupt); returns the new run count."""
     out = Path(path)
     history = {"runs": []}
     if out.exists():
@@ -220,6 +238,7 @@ def append_bench_run(
             history = {"runs": []}
     run = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "host": bench_host(),
         "results": list(results),
     }
     if source is not None:

@@ -105,6 +105,22 @@ class TestSimulateExact:
         out = capsys.readouterr().out
         assert "vpf bracket" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_exact_rejects_a_budget_below_one(self, race_file, budget, capsys):
+        # a budget of 0 used to print "explored states : 2 (truncated)"
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", race_file, "--max-states", budget, "--explore", "scaled"])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_bench_rejects_a_budget_below_one(self, capsys):
+        # 0 used to mean "each workload's own budget", and a negative
+        # budget reached the explorer
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--max-states", "-5", "--skip-reference"])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_exact_rejects_the_deleted_int64_mode(self, race_file, capsys):
         # one lattice explorer: integer programs run on it at scale 1
         with pytest.raises(SystemExit) as exc:

@@ -311,3 +311,24 @@ class TestBenchRegressionGate:
         assert best_recorded_sparse_seconds(path, "other", 100) is None
         path.write_text("not json")
         assert best_recorded_sparse_seconds(path, "gambler", 100) is None
+
+    def test_every_appended_run_records_its_host(self, tmp_path):
+        import json
+        import os
+
+        import numpy
+        import scipy
+
+        from repro.experiments.fixpoint_bench import append_bench_run
+
+        path = tmp_path / "bench.json"
+        entry = {"program": "gambler", "max_states": 100, "sparse_seconds": 0.5}
+        assert append_bench_run(path, [entry], source="test") == 1
+        assert append_bench_run(path, [entry]) == 2
+        for run in json.loads(path.read_text())["runs"]:
+            host = run["host"]
+            assert host["nproc"] == os.cpu_count()
+            assert host["numpy"] == numpy.__version__
+            assert host["scipy"] == scipy.__version__
+            assert host["python"].count(".") == 2
+            assert run["results"] == [entry]

@@ -6,7 +6,9 @@ and fixed-point-admissible fractional ones (``scaled-int64``): same state
 interning order, same truncation cut, same COO triplets, hence the same
 matrix, offsets and value-iteration trajectory.  Inadmissible or
 overflowing systems must fall back to the exact path silently under
-``explore="auto"`` and loudly under ``explore="scaled"``.
+``explore="auto"`` and loudly under ``explore="scaled"``.  Under ``auto``
+one BFS runs: the scalar loop hands its tables to the batched loop at the
+first wide level, and the result is the same model again.
 """
 
 import random
@@ -104,8 +106,8 @@ class TestIntegerLatticeBitIdentity:
         assert (auto.b_upper == exact.b_upper).all()
 
 
-#: >64 BFS levels of width ~2: under explore="auto" the batched engine
-#: must bail out to the scalar path (per-level numpy overhead dominates)
+#: ~150 BFS levels of width 2 (a revisited state is not new): under
+#: explore="auto" no level is wide enough to hand over to the batched loop
 THIN_CHAIN = """
 x := 150
 while x >= 1 and x <= 299:
@@ -149,8 +151,8 @@ class TestFallback:
         assert (fast.b_upper == exact.b_upper).all()
 
     def test_auto_falls_back_when_every_key_collides(self, monkeypatch):
-        # a zero multiplier gives every state key 0: the row checks must
-        # catch the shared keys, and auto must rebuild on the scalar engine
+        # a zero multiplier gives every state key 0: the handoff's table
+        # check must catch the shared keys, and auto must stay scalar
         pts = compile_source(PROGRAMS["asym"], name="asym").pts
         assert build_sparse_model(pts, max_states=2_000).explored_via == "int64"
         exact = build_sparse_model(pts, max_states=2_000, explore="fraction")
@@ -188,18 +190,6 @@ class TestFallback:
         with pytest.raises(ModelError, match="share a 64-bit frontier key"):
             build_sparse_model(pts, max_states=100, explore="scaled")
 
-    def test_auto_bails_out_on_thin_frontiers(self):
-        # chain-shaped system: >64 narrow BFS levels restart on the scalar
-        # engine under auto, but forced scaled still batches to completion
-        pts = compile_source(THIN_CHAIN, name="thin").pts
-        auto = build_sparse_model(pts, max_states=5_000)
-        assert auto.explored_via == "fraction"
-        forced = build_sparse_model(pts, max_states=5_000, explore="scaled")
-        assert forced.explored_via == "int64"
-        assert forced.n == auto.n
-        assert_csr_identical(forced.matrix, auto.matrix)
-        assert forced.index == auto.index
-
     def test_auto_falls_back_when_no_scaled_lattice_exists(self):
         # a 1e-7 step size needs a denominator beyond the 1e6 fixed-point
         # cap, so not even the scaled engine admits it
@@ -233,34 +223,201 @@ class TestFallback:
                 value_iteration(pts, solver=solver)
 
 
-class TestTinyModelHeuristic:
-    """Sub-256-state systems stay on the scalar Fraction engine under auto.
+#: the walk of the budget bug: with max_states=0 the lattice engine
+#: explored 2 states and the Fraction engine 1
+BUDGET_WALK = """
+x := 0
+while x <= 5:
+    if prob(0.5):
+        x := x + 1
+    else:
+        x := x - 1
+assert x <= 3
+"""
 
-    The BENCH trajectory showed the batched engines *losing* on tiny
-    models (gambler's 13 states ran at explore_speedup 0.29x: per-level
-    numpy dispatch overhead dwarfs the work), so auto now bails out after
-    a cheap full exploration whenever the admitted model is tiny.
-    """
 
-    def test_tiny_integer_model_bails_to_scalar_under_auto(self):
-        pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
-        auto = build_sparse_model(pts, max_states=20_000)
+class TestStateBudget:
+    """The checker's ``states-budget`` rule is 1 <= states <= max_states,
+    so a budget below 1 is refused before any exploration."""
+
+    @pytest.mark.parametrize("explore", ["auto", "scaled", "fraction"])
+    @pytest.mark.parametrize("max_states", [0, -1])
+    def test_budget_below_one_is_refused(self, explore, max_states):
+        pts = compile_source(BUDGET_WALK, name="walk").pts
+        with pytest.raises(ValueError, match="at least 1"):
+            build_sparse_model(pts, max_states=max_states, explore=explore)
+
+    def test_budget_of_one_explores_only_the_initial_state(self):
+        pts = compile_source(BUDGET_WALK, name="walk").pts
+        fast, exact = assert_models_bit_identical(pts, max_states=1)
+        assert fast.n == exact.n == 1
+        assert fast.truncated and exact.truncated
+
+
+#: one counter step per level and a fair coin: level k holds the k + 1
+#: states (i, x) = (k, 0..k), so the BFS starts narrow and widens steadily
+WIDENING_WALK = """
+i := 0
+x := 0
+while i <= 99:
+    if prob(0.5):
+        i, x := i + 1, x + 1
+    else:
+        i := i + 1
+assert x <= 55
+"""
+
+#: a quadratically widening walk whose y quadruples every step: it hands
+#: over to the batched loop within ten levels, then leaves the int64
+#: lattice's 2**31 range at level 16
+OVERFLOW_AFTER_HANDOFF = """
+i := 0
+x := 0
+z := 0
+y := 1
+while i <= 40:
+    switch:
+        prob(0.25): i, x, y := i + 1, x + 1, 4 * y
+        prob(0.25): i, z, y := i + 1, z + 1, 4 * y
+        prob(0.5): i, y := i + 1, 4 * y
+assert x <= 30
+"""
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """Count the scalar and batched level loops that each build runs."""
+    calls = {"scalar": 0, "batched": 0}
+    scalar, batched = fixpoint._build_model_exact, fixpoint._build_model_int
+
+    def count_scalar(*args, **kwargs):
+        calls["scalar"] += 1
+        return scalar(*args, **kwargs)
+
+    def count_batched(*args, **kwargs):
+        calls["batched"] += 1
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "_build_model_exact", count_scalar)
+    monkeypatch.setattr(fixpoint, "_build_model_int", count_batched)
+    return calls
+
+
+def assert_same_as_fraction(model, pts, max_states):
+    """``model`` equals forced ``fraction`` in every array, the index and
+    the exploration evidence (level ends, digests, state blob)."""
+    exact = build_sparse_model(pts, max_states=max_states, explore="fraction")
+    assert model.n == exact.n
+    assert model.truncated == exact.truncated
+    assert_csr_identical(model.matrix, exact.matrix)
+    for name in ("b_lower", "b_upper", "x0_lower", "x0_upper"):
+        assert np.array_equal(getattr(model, name), getattr(exact, name))
+    assert model.index == exact.index
+    assert model._evidence["levels"] == exact._evidence["levels"]
+    return exact
+
+
+class TestOneBFSUnderAuto:
+    """``explore="auto"`` explores once: the scalar loop runs the narrow
+    levels and hands its tables to the batched loop at the first level of
+    ``_BATCH_MIN_WIDTH`` or more states."""
+
+    @pytest.mark.parametrize(
+        "source", [PROGRAMS["gambler"], THIN_CHAIN], ids=["gambler", "thin-chain"]
+    )
+    def test_narrow_models_explore_once(self, source, loops):
+        # width-2 chains never reach a wide level: one scalar BFS, no
+        # batched attempt and no restart
+        pts = compile_source(source, name="narrow").pts
+        auto = build_sparse_model(pts, max_states=5_000)
+        assert loops == {"scalar": 1, "batched": 0}
         assert auto.explored_via == "fraction"
-        # forced scaled still batches, and stays bit-identical
-        fast, _ = assert_models_bit_identical(pts, max_states=20_000)
+        assert auto._evidence["admission"] is None
+        # forced scaled still batches every level, bit-identically
+        fast, _ = assert_models_bit_identical(pts, max_states=5_000)
         assert fast.explored_via == "int64"
-        assert fast.n < 256
 
-    def test_heuristic_threshold_is_state_count_not_budget(self):
-        # same tiny system under a tiny budget: still scalar under auto
-        pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
-        assert build_sparse_model(pts, max_states=300).explored_via == "fraction"
-        # a >=256-state admitted model keeps the batched engine
-        pts_big = compile_source(THIN_CHAIN, name="thin").pts
-        forced = build_sparse_model(pts_big, max_states=5_000, explore="scaled")
-        assert forced.n >= 256
+    def test_handoff_waits_for_a_wide_level(self, loops):
+        # the trigger is one level's width, not the model's size: THIN_CHAIN
+        # has 299 states and stays scalar, WIDENING_WALK hands over at its
+        # first level of _BATCH_MIN_WIDTH states
+        thin = compile_source(THIN_CHAIN, name="thin").pts
+        assert build_sparse_model(thin, max_states=5_000).n > 256
+        assert loops == {"scalar": 1, "batched": 0}
+        wide = compile_source(WIDENING_WALK, name="widening").pts
+        model = build_sparse_model(wide, max_states=1_000)
+        assert loops == {"scalar": 2, "batched": 1}
+        assert model.explored_via == "int64"
+        widths = np.diff([0] + model._evidence["levels"]["level_ends"])
+        width = fixpoint._BATCH_MIN_WIDTH
+        assert list(widths[:width]) == list(range(1, width + 1))
 
-    def test_bailout_does_not_change_the_bracket(self):
+    @pytest.mark.parametrize("max_states", [6_000, 2_000], ids=["complete", "cut"])
+    def test_handed_off_model_is_the_fraction_model(self, max_states, loops):
+        from repro.core.runcert import emit_run_certificate, verify_run_certificate
+
+        pts = compile_source(WIDENING_WALK, name="widening").pts
+        model = build_sparse_model(pts, max_states=max_states)
+        assert loops == {"scalar": 1, "batched": 1}
+        assert model.explored_via == "int64"
+        assert model._evidence["admission"] is not None
+        exact = assert_same_as_fraction(model, pts, max_states)
+        assert model.truncated == (max_states == 2_000)
+        assert exact._evidence["admission"] is None
+        result = iterate_model(model)
+        cert = emit_run_certificate(pts, model, result, max_states=max_states)
+        report = verify_run_certificate(cert, pts=pts)
+        assert report.ok, "\n".join(report.render())
+
+    def test_overflow_after_the_handoff_rebuilds_on_fraction(self, loops):
+        pts = compile_source(OVERFLOW_AFTER_HANDOFF, name="ovf-late").pts
+        model = build_sparse_model(pts, max_states=20_000)
+        # the handoff ran, its batched loop overflowed, and one fresh
+        # scalar run rebuilt the model
+        assert loops == {"scalar": 2, "batched": 1}
+        assert model.explored_via == "fraction"
+        assert model._evidence["admission"] is None
+        assert_same_as_fraction(model, pts, 20_000)
+        with pytest.raises(ModelError, match="overflowed the int64"):
+            build_sparse_model(pts, max_states=20_000, explore="scaled")
+
+    def test_key_collision_at_the_handoff_stays_scalar(self, monkeypatch, loops):
+        pts = compile_source(WIDENING_WALK, name="widening").pts
+        monkeypatch.setattr(fixpoint, "_KEY_MULTIPLIER", np.uint64(0))
+        model = build_sparse_model(pts, max_states=2_000)
+        assert loops == {"scalar": 1, "batched": 0}
+        assert model.explored_via == "fraction"
+        assert_same_as_fraction(model, pts, 2_000)
+
+    @pytest.mark.parametrize("cut", ["no-exit", "dead-end"])
+    def test_stuck_state_is_refused_alike_on_every_engine(self, cut):
+        # without the loop's exit transitions (no-exit), or with them
+        # leading to a location that has none (dead-end), the first state
+        # at i = 100 has no enabled transition: the scalar loop, the batched
+        # loop after the handoff and the forced lattice run all name it (the
+        # scalar engine prints its exact Fractions, the lattice its scaled
+        # ints, here on scale 1)
+        from repro.pts.model import PTS, Fork, Transition
+
+        pts = compile_source(WIDENING_WALK, name="widening").pts
+        kept = []
+        for t in pts.transitions:
+            if not all(pts.is_sink(f.destination) for f in t.forks):
+                kept.append(t)
+            elif cut == "dead-end":
+                forks = [Fork("dead", f.probability) for f in t.forks]
+                kept.append(Transition(t.source, t.guard, forks))
+        stuck = PTS(
+            pts.program_vars, pts.init_location, pts.init_valuation, kept, name="stuck"
+        )
+        where = "'dead'" if cut == "dead-end" else repr(pts.init_location)
+        for explore in ("auto", "scaled", "fraction"):
+            with pytest.raises(ModelError, match="no enabled transition") as exc:
+                build_sparse_model(stuck, max_states=10_000, explore=explore)
+            text = str(exc.value).replace("Fraction(100, 1)", "100")
+            assert text.endswith(f"at {where} with {{'i': 100, 'x': 100}}"), text
+
+    def test_narrow_model_brackets_the_reference(self):
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
         for solver in ("sweep", "auto"):
             assert_brackets_reference(pts, solver=solver)
@@ -338,9 +495,9 @@ class TestScaledLattice:
     def test_half_steps_explored_scaled_under_auto(self):
         pts = compile_source(HALF_STEPS, name="half", integer_mode=False).pts
         assert pts.integrality().scale == (2,)
-        # ~13 states: the tiny-model heuristic keeps auto on the scalar
-        # engine (per-level numpy overhead dominates below 256 states) but
-        # the forced scaled engine still batches, bit-identically
+        # ~13 states on levels of width 1-2: auto never reaches a wide
+        # level and stays scalar, but the forced scaled engine still
+        # batches, bit-identically
         model = build_sparse_model(pts, max_states=5_000)
         assert model.explored_via == "fraction"
         fast, _ = assert_models_bit_identical(pts, max_states=5_000, explore="scaled")
@@ -366,8 +523,8 @@ class TestScaledLattice:
         # the issue tracker filed M1DWalk under "fractional", but only its
         # fork *probabilities* are fractional and those never enter a state
         # vector: it has been int64-admissible since the integer fast path
-        # landed, and its exclusion under auto is the thin-frontier bailout
-        # (a width-2 chain, where batching measures ~16x slower)
+        # landed, and auto runs it scalar because no level of the width-2
+        # chain is wide enough to hand over to the batched loop
         from repro.programs import get_benchmark
 
         pts = get_benchmark("M1DWalk").pts
@@ -375,7 +532,7 @@ class TestScaledLattice:
         assert report.integral
         assert report.scale == (1,)
         auto = build_sparse_model(pts, max_states=3_000)
-        assert auto.explored_via == "fraction"  # thin-frontier restart
+        assert auto.explored_via == "fraction"  # never wide enough to batch
         fast, _ = assert_models_bit_identical(pts, max_states=3_000)
         assert fast.explored_via == "int64"
 
@@ -444,8 +601,8 @@ class TestScaledLattice:
         report = pts.integrality()
         assert not report.integral
         assert report.scale == (1,)
-        # ~18 states: auto stays scalar under the tiny-model heuristic,
-        # but the forced scaled engine still admits the system
+        # ~18 states on narrow levels: auto stays scalar, but the forced
+        # scaled engine still admits the system
         model = build_sparse_model(pts, max_states=1_000)
         assert model.explored_via == "fraction"
         assert_models_bit_identical(pts, max_states=1_000, explore="scaled")
@@ -455,7 +612,10 @@ class TestScaledLattice:
 
         pts = compile_source(EXACT_ROW, name="exact-row", integer_mode=False).pts
         assert pts.integrality().scale == (2, 1)
-        assert build_sparse_model(pts, max_states=2_000).explored_via == "scaled-int64"
+        # admitted, but no BFS level holds more than 9 states: auto never
+        # hands over to the batched loop
+        assert fixpoint._compile_int_plan(pts) is not None
+        assert build_sparse_model(pts, max_states=2_000).explored_via == "fraction"
         fast, _ = assert_models_bit_identical(pts, max_states=2_000, explore="scaled")
         assert fast.explored_via == "scaled-int64"
         assert fast.n == 2_000 and fast.truncated
@@ -477,6 +637,34 @@ class TestScaledLattice:
         )
         report = verify_run_certificate(cert, pts=pts)
         assert report.ok, "\n".join(report.render())
+
+    def test_guard_rows_evaluate_exactly_in_float64(self):
+        # the batched dispatch multiplies guard rows in float64, exact while
+        # a lowered row's magnitude sum(|row_j| * limit_j) + |const| stays
+        # below 2**53: exact rows are admitted below 2**52, and a gap row's
+        # clearing multiplier (at most 5e8) times its real magnitude (capped
+        # by the slack rule) stays below 2**53 as well
+        from repro.experiments.fixpoint_bench import FIXPOINT_WORKLOADS
+        from repro.fuzz.generators import corpus_plan
+
+        real_cap = fixpoint._SCALED_GUARD_SLACK / (4 * fixpoint._FLOAT_ULP)
+        assert fixpoint._INT_GUARD_MAGNITUDE < 2**53
+        assert fixpoint._SCALED_GAP_LIMIT * real_cap < 2**53
+        near_cap = corpus_plan(9, 1, ("mixed-lattice",))[0]
+        assert near_cap.params["den"] == 999_983
+        sources = [(src, im) for src, _, im in FIXPOINT_WORKLOADS.values()]
+        sources.append((near_cap.source, near_cap.integer_mode))
+        for source, integer_mode in sources:
+            pts = compile_source(source, name="rows", integer_mode=integer_mode).pts
+            plan = fixpoint._compile_int_plan(pts)
+            for g in plan.admission["guards"]:
+                weights = zip(g["row"], plan.limits)
+                assert sum(abs(a) * lim for a, lim in weights) + abs(g["const"]) < 2**53
+        pts = compile_source(
+            near_cap.source, name="near-cap", integer_mode=near_cap.integer_mode
+        ).pts
+        fast, _ = assert_models_bit_identical(pts, max_states=2_000)
+        assert fast.explored_via == "scaled-int64"
 
     def test_forced_scaled_on_integer_lattice_degenerates_to_int64(self):
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts

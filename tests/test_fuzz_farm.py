@@ -330,6 +330,15 @@ class TestCLI:
         assert rc == 1
         assert "unknown families" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_fuzz_subcommand_rejects_a_budget_below_one(self, budget, capsys):
+        # a budget of 0 used to explore past itself on the lattice engine
+        # and report explorer divergences against the Fraction engine
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1", "--max-states", budget])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestCertificateOracle:
     """A corrupted certificate from a fuzzed run must be rejected."""

@@ -12,9 +12,14 @@ Sections:
 
 * **explorer grid** — the explorer workloads through the forced lattice
   mode ``scaled`` (the integer-lattice control runs at scale 1 and is
-  labelled ``int64``); each certificate must verify both against the
-  in-memory PTS and *self-contained* (checker recompiles the source
-  embedded in the certificate);
+  labelled ``int64``) and through ``auto``, whose one BFS starts on the
+  scalar engine and hands over to the batched loop at the first wide
+  level (3dwalk-slice and robot-slice widen within a few levels, so their
+  state tables hold scalar levels and then batched ones); each
+  certificate must verify both against the in-memory PTS and
+  *self-contained* (checker recompiles the source embedded in the
+  certificate), and each ``auto`` run's level digests must equal a
+  forced ``fraction`` run's;
 * **solver grid** — the solver workloads through ``sweep`` and ``auto``;
   evidence checks cover the witness hash, the slack ladder and the
   pre/post-fixpoint margins.  The ``auto`` bracket must also overlap the
@@ -44,9 +49,9 @@ import json
 import sys
 import zlib
 
-#: name -> (source, max_states, integer_mode), each forced through the
-#: lattice engine (``explore="scaled"``).  Budgets are chosen so every
-#: workload truncates or absorbs within a few seconds.
+#: name -> (source, max_states, integer_mode), each run through the forced
+#: lattice engine (``explore="scaled"``) and through ``auto``.  Budgets are
+#: chosen so every workload truncates or absorbs within a few seconds.
 WORKLOADS = {
     # Table 1's 3DWalk shape (0.1-steps, scale-10 lattice), truncated
     "3dwalk-slice": (
@@ -200,6 +205,7 @@ def _resign(cert, mutate):
 
 
 def check_explorer_grid(failures):
+    """Returns the forced-``scaled`` certificates, the drills' inputs."""
     from repro.core.fixpoint import build_sparse_model, iterate_model
     from repro.core.runcert import verify_certificate_text, verify_run_certificate
     from repro.lang import compile_source
@@ -207,27 +213,40 @@ def check_explorer_grid(failures):
     certs = []
     for name, (source, max_states, integer_mode) in WORKLOADS.items():
         pts = compile_source(source, name=name, integer_mode=integer_mode).pts
-        model = build_sparse_model(pts, max_states=max_states, explore="scaled")
-        result = iterate_model(model)
-        cert = _emit(pts, model, result, name, source, integer_mode, max_states, "scaled")
-        report = verify_run_certificate(cert, pts=pts)
-        # self-contained: the checker recompiles the embedded source
-        standalone = verify_certificate_text(cert.to_json())
-        ok = report.ok and standalone.ok
-        if not report.ok:
-            failures.extend(f"{name}: {line}" for line in report.render() if "FAIL" in line)
-        if not standalone.ok:
-            failures.extend(
-                f"{name} (standalone): {line}"
-                for line in standalone.render()
-                if "FAIL" in line
+        fraction = build_sparse_model(pts, max_states=max_states, explore="fraction")
+        for explore in ("scaled", "auto"):
+            label = f"{name}[{explore}]"
+            model = build_sparse_model(pts, max_states=max_states, explore=explore)
+            result = iterate_model(model)
+            cert = _emit(pts, model, result, name, source, integer_mode, max_states, explore)
+            report = verify_run_certificate(cert, pts=pts)
+            # self-contained: the checker recompiles the embedded source
+            standalone = verify_certificate_text(cert.to_json())
+            levels = cert.payload["exploration"]["levels"]
+            same_levels = explore != "auto" or (
+                levels["digests"] == fraction._evidence["levels"]["digests"]
+                and levels["level_ends"] == fraction._evidence["levels"]["level_ends"]
             )
-        print(
-            f"{name:<16} {model.explored_via:<13} states={model.n:>6} "
-            f"levels={len(cert.payload['exploration']['levels']['digests']):>4} "
-            f"{'ok' if ok else 'REJECTED'}"
-        )
-        certs.append(cert)
+            ok = report.ok and standalone.ok and same_levels
+            if not report.ok:
+                failures.extend(
+                    f"{label}: {line}" for line in report.render() if "FAIL" in line
+                )
+            if not standalone.ok:
+                failures.extend(
+                    f"{label} (standalone): {line}"
+                    for line in standalone.render()
+                    if "FAIL" in line
+                )
+            if not same_levels:
+                failures.append(f"{label}: level digests differ from the fraction run's")
+            print(
+                f"{label:<24} {model.explored_via:<13} states={model.n:>6} "
+                f"levels={len(levels['digests']):>4} "
+                f"{'ok' if ok else 'REJECTED'}"
+            )
+            if explore == "scaled":
+                certs.append(cert)
     return certs
 
 
@@ -385,8 +404,9 @@ def main() -> int:
             print(f"  - {line}")
         return 1
     print(
-        f"\ncertificate gate ok: {len(WORKLOADS)} explorer workload(s) + "
-        f"{len(SOLVER_WORKLOADS)} solver workload(s) x 2 solvers "
+        f"\ncertificate gate ok: {len(WORKLOADS)} explorer workload(s) x "
+        f"scaled/auto ({2 * len(WORKLOADS)} certificates, auto digests equal "
+        f"fraction's) + {len(SOLVER_WORKLOADS)} solver workload(s) x 2 solvers "
         f"verified; {drills} corruption drills rejected"
     )
     return 0
