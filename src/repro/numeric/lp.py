@@ -1,4 +1,4 @@
-"""Linear-programming front-end over ``scipy.optimize.linprog`` (HiGHS).
+"""Linear-programming front-end over HiGHS.
 
 Two interfaces are provided:
 
@@ -18,33 +18,202 @@ system and reused by every solve that only changes the objective or pins
 one column (:meth:`LinearProgram.optimize`), as the Ser search does for
 ``eps`` and the [CFNH18] baseline for its difference cap.
 
-``scipy.optimize`` is imported on the first solve (:func:`linprog`), so
-commands that solve no LP do not pay for it at start-up.
+Every solve goes through :func:`linprog`, which drives HiGHS through
+``scipy.optimize._highspy._core``, the highspy module behind
+``scipy.optimize.linprog``'s own HiGHS methods.  It makes the calls
+``linprog`` makes — the same options, status map, post-solve feasibility
+check and bound marginals, on a fresh model per solve — but hands HiGHS
+the assembled rows as they are, without ``linprog``'s re-validation and
+sparse-format conversions, which took three quarters of the LP time of the
+paper's tables (see ``PERFORMANCE.md``).  highspy is imported on the first
+solve, so commands that solve no LP do not pay for importing
+``scipy.optimize`` at start-up.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from repro.errors import InfeasibleError, SolverError
 from repro.polyhedra.linexpr import LinExpr
 
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult
-
 __all__ = ["LPResult", "solve_lp", "LinearProgram"]
 
+#: the first scipy whose ``linprog`` runs on ``scipy.optimize._highspy._core``
+SCIPY_FLOOR = "1.15"
 
-def linprog(c, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: the import costs
+#: ``linprog``'s post-solve feasibility tolerance, ``10 * sqrt(tol)`` at its
+#: default ``tol = 1e-9``: an optimal ``x`` that breaks a bound or a row by
+#: more is reported as "numerical"
+_FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _highs():
+    """The highspy module, imported on the first solve: the import costs
     about half a second of start-up."""
-    from scipy.optimize import linprog as highs_linprog
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise ImportError(
+            f"repro drives HiGHS through scipy.optimize._highspy._core, "
+            f"which needs scipy>={SCIPY_FLOOR}"
+        ) from exc
+    return _core
 
-    return highs_linprog(c, **kwargs)
+
+@functools.lru_cache(maxsize=None)
+def _options(method: str):
+    """``linprog``'s HiGHS options for ``method="highs"`` or ``"highs-ds"``."""
+    core = _highs()
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    if method == "highs-ds":
+        options.solver = "simplex"
+    elif method != "highs":
+        raise ValueError(f"unknown HiGHS method {method!r}")
+    return options
+
+
+@functools.lru_cache(maxsize=None)
+def _model_status(model_status) -> str:
+    """``linprog``'s reading of a HiGHS model status (its
+    ``_highs_to_scipy_status_message``) in this module's names: every status
+    not listed, ``kUnboundedOrInfeasible`` included, is "numerical"."""
+    status = _highs().HighsModelStatus
+    return {
+        status.kOptimal: "optimal",
+        status.kTimeLimit: "iteration-limit",
+        status.kIterationLimit: "iteration-limit",
+        status.kInfeasible: "infeasible",
+        status.kModelError: "infeasible",
+        status.kUnbounded: "unbounded",
+    }.get(model_status, "numerical")
+
+
+class HighsResult(NamedTuple):
+    """One HiGHS solve, reported as ``scipy.optimize.linprog`` reports it."""
+
+    status: str  # "optimal" | "iteration-limit" | "infeasible" | "unbounded" | "numerical"
+    message: str
+    #: simplex iterations, or interior-point ones when no simplex ran
+    nit: int
+    x: Optional[np.ndarray] = None
+    fun: Optional[float] = None
+    #: column duals and basis statuses of an optimal solve
+    col_dual: Optional[List[float]] = None
+    col_status: Optional[list] = None
+
+
+#: ``(indptr, indices, data)`` of an absent block of rows
+_NO_ROWS = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+
+
+def _row_block(a, b, n: int, name: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data, rhs)`` of one block of rows in canonical CSR
+    form.  A dense block keeps only its nonzeros, as ``linprog`` keeps them;
+    a non-finite entry raises ``ValueError``, as in ``linprog``."""
+    rhs = np.array(() if b is None else b, dtype=float).reshape(-1)
+    if a is None:
+        shape, (indptr, indices, data) = (0, n), _NO_ROWS
+    else:
+        if not issparse(a):
+            a = csr_matrix(np.array(a, dtype=float).reshape(-1, n))
+        elif a.format != "csr" or not a.has_canonical_format:
+            a = csr_matrix(a, dtype=float, copy=True)
+            a.sum_duplicates()
+        shape, indptr, indices, data = a.shape, a.indptr, a.indices, a.data
+    if shape != (rhs.size, n):
+        raise ValueError(f"{name} is {shape}, not ({rhs.size}, {n})")
+    if not (np.isfinite(data).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"{name} or its right-hand side is not finite")
+    return indptr, indices, data, rhs
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
+    """``scipy.optimize.linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method)``
+    for ``method`` ``"highs"`` or ``"highs-ds"``, solve for solve: the same
+    answer to the last bit, the same iteration count and the same status.
+
+    This is the module's one call into HiGHS.  ``bounds`` are ``(lower,
+    upper)`` pairs with ``None`` for infinite, ``(0, None)`` each by default
+    as in ``linprog``.  HiGHS gets the ``<=`` rows, then the ``==`` rows, in
+    row-wise form, on a fresh model with no start point.  Returns a
+    :class:`HighsResult`.
+    """
+    core = _highs()
+    c = np.array(c, dtype=float).reshape(-1)
+    n = c.size
+    if not np.isfinite(c).all():
+        raise ValueError("c is not finite")
+    ub_start, ub_index, ub_value, b_ub = _row_block(A_ub, b_ub, n, "A_ub")
+    eq_start, eq_index, eq_value, b_eq = _row_block(A_eq, b_eq, n, "A_eq")
+    col_bounds = np.array([(0, None)] * n if bounds is None else bounds, dtype=float)
+    if col_bounds.shape != (n, 2):
+        raise ValueError(f"bounds are {col_bounds.shape}, not ({n}, 2)")
+    inf = core.kHighsInf
+    # None arrives as nan, which fmax and fmin skip: no bound is -inf or +inf
+    lower = np.fmax(col_bounds[:, 0], -inf)
+    upper = np.fmin(col_bounds[:, 1], inf)
+    m_ub = b_ub.size
+
+    lp = core.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m_ub + b_eq.size
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.concatenate((np.full(m_ub, -inf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    matrix = lp.a_matrix_
+    matrix.format_ = core.MatrixFormat.kRowwise
+    matrix.num_col_ = n
+    matrix.num_row_ = lp.num_row_
+    # the matrix's vectors convert faster from lists than from numpy arrays
+    matrix.start_ = np.concatenate((ub_start, eq_start[1:] + ub_start[-1])).tolist()
+    matrix.index_ = np.concatenate((ub_index, eq_index)).tolist()
+    matrix.value_ = np.concatenate((ub_value, eq_value)).tolist()
+
+    highs = core._Highs()
+    highs.passOptions(_options(method))
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        return HighsResult("infeasible", "HiGHS rejected the model", 0)
+    ran = highs.run()
+    model_status = highs.getModelStatus()
+    message = f"HiGHS model status {int(model_status)}: {highs.modelStatusToString(model_status)}"
+    status = _model_status(model_status)
+    if ran == core.HighsStatus.kError:  # no solution to read, nor iterations
+        return HighsResult("numerical" if status == "optimal" else status, message, 0)
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status != "optimal":
+        return HighsResult(status, message, nit)
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    row_value = np.array(solution.row_value)
+    tol = _FEASIBILITY_TOL
+    holds = (
+        not math.isnan(fun)
+        and ((x >= lower - tol) & (x <= upper + tol)).all()
+        and (b_ub - row_value[:m_ub] >= -tol).all()
+        and (np.abs(b_eq - row_value[m_ub:]) <= tol).all()
+    )
+    if not holds:
+        message = f"{message}, but x breaks a bound or row by more than {tol:.2e}"
+        return HighsResult("numerical", message, nit, x, fun)
+    return HighsResult(status, message, nit, x, fun, solution.col_dual, highs.getBasis().col_status)
 
 
 @dataclass
@@ -54,8 +223,10 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    #: HiGHS's own result of an optimal solve, kept for sensitivity queries
-    highs: Optional[OptimizeResult] = field(default=None, repr=False)
+    #: HiGHS's column duals and basis statuses of an optimal solve, kept for
+    #: sensitivity queries
+    col_dual: Optional[List[float]] = field(default=None, repr=False)
+    col_status: Optional[list] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -63,18 +234,19 @@ class LPResult:
         return self.status == "optimal"
 
     def column_marginal(self, j: int) -> float:
-        """Sensitivity of the optimum to column ``j``'s bounds.  For a column
-        fixed at a value, this is the slope of the optimal value in that
-        value: a subgradient, which HiGHS may pick anywhere in the
-        subdifferential at a degenerate point."""
-        return float(self.highs.lower.marginals[j] + self.highs.upper.marginals[j])
+        """Sensitivity of the optimum to column ``j``'s bounds: its dual when
+        it is nonbasic at a bound, else 0, as ``linprog``'s ``lower`` plus
+        ``upper`` marginals.  For a column fixed at a value, this is the
+        slope of the optimal value in that value: a subgradient, which HiGHS
+        may pick anywhere in the subdifferential at a degenerate point."""
+        basis = _highs().HighsBasisStatus
+        if self.col_status[j] in (basis.kLower, basis.kUpper):
+            return self.col_dual[j] + 0.0  # linprog's sum turns -0.0 into 0.0
+        return 0.0
 
 
-_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
-
-#: statuses worth one retry with the dual simplex before giving up — HiGHS'
-#: default (interior point + crossover) occasionally stalls on nearly
-#: degenerate systems where the simplex finishes cleanly
+#: statuses worth one retry with HiGHS's solver fixed to the simplex
+#: (``method="highs-ds"``) instead of left to HiGHS's choice
 _RETRY_STATUSES = ("iteration-limit", "numerical")
 
 
@@ -98,18 +270,18 @@ def solve_lp(
 ) -> LPResult:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
-    Variables are free by default (unlike ``linprog``'s nonnegative default).
-    Constraint matrices may be dense sequences or ``scipy.sparse`` matrices.
-    On an "iteration-limit" or "numerical" status the solve is retried once
-    with ``method="highs-ds"`` (dual simplex) before raising
-    :class:`SolverError`.  An "infeasible" status is confirmed by the
-    zero-objective LP over the same rows and bounds: HiGHS's presolve
-    reports some feasible, unbounded LPs as infeasible (min ``x0`` over the
-    slab ``5 - 1/999983 <= 3 x0 - x1 - 2 x2 <= 5``), so a feasible answer
-    there is reported as "unbounded".
+    Variables are free by default (:func:`linprog` keeps scipy's nonnegative
+    default).  Constraint matrices may be dense sequences or ``scipy.sparse``
+    matrices.  On an "iteration-limit" or "numerical" status the solve is
+    retried once through ``linprog(..., method="highs-ds")``, which fixes
+    HiGHS's solver to the simplex, before raising :class:`SolverError`.  An
+    "infeasible" status is confirmed by the zero-objective LP over the same
+    rows and bounds: HiGHS's presolve reports some feasible, unbounded LPs as
+    infeasible (min ``x0`` over the slab ``5 - 1/999983 <= 3 x0 - x1 - 2 x2
+    <= 5``), so a feasible answer there is reported as "unbounded".
     """
     n = len(c)
-    if n == 0:  # linprog needs a column; with none, every row is a constant
+    if n == 0:  # with no column, every row is a constant
         rows_hold = (_is_empty(a_ub) or min(b_ub) >= 0) and (_is_empty(a_eq) or not any(b_eq))
         return LPResult("optimal", np.zeros(0), 0.0) if rows_hold else LPResult("infeasible")
     if bounds is None:
@@ -131,18 +303,16 @@ def solve_lp(
         )
 
     res = run("highs")
-    status = _STATUS.get(res.status, "error")
-    if status in _RETRY_STATUSES:
+    if res.status in _RETRY_STATUSES:
         res = run("highs-ds")
-        status = _STATUS.get(res.status, "error")
-    if status == "infeasible" and np.any(c):
-        if _STATUS.get(run("highs", np.zeros(n)).status) == "optimal":
+    if res.status == "infeasible" and np.any(c):
+        if run("highs", np.zeros(n)).status == "optimal":
             return LPResult("unbounded")
-    if status == "optimal":
-        return LPResult("optimal", np.asarray(res.x, dtype=float), float(res.fun), res)
-    if status in ("infeasible", "unbounded"):
-        return LPResult(status)
-    raise SolverError(f"linprog failed with status {res.status}: {res.message}")
+    if res.status == "optimal":
+        return LPResult("optimal", res.x, res.fun, res.col_dual, res.col_status)
+    if res.status in ("infeasible", "unbounded"):
+        return LPResult(res.status)
+    raise SolverError(f"HiGHS failed ({res.status}): {res.message}")
 
 
 class _TripletBlock:

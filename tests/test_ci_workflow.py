@@ -66,6 +66,23 @@ class TestCIWorkflow:
         text = _steps_text(tier1)
         assert "PYTHONPATH=src python -m pytest -x -q" in text
 
+    def test_tier1_oldest_python_runs_the_scipy_floor(self):
+        # repro.numeric.lp needs scipy.optimize._highspy._core: pyproject.toml
+        # declares the floor, the LP module names it when highspy is missing,
+        # and the py3.10 cell installs exactly that minor release
+        from repro.numeric.lp import SCIPY_FLOOR
+
+        data, _ = _load("ci.yml")
+        tier1 = data["jobs"]["tier1"]
+        pins = {
+            entry["python-version"]: entry.get("scipy")
+            for entry in tier1["strategy"]["matrix"].get("include", [])
+        }
+        assert pins.get("3.10") == f"scipy=={SCIPY_FLOOR}.*"
+        assert '"${{ matrix.scipy }}"' in _steps_text(tier1)
+        pyproject = (WORKFLOWS.parent.parent / "pyproject.toml").read_text()
+        assert f'"scipy>={SCIPY_FLOOR}"' in pyproject
+
     def test_smoke_job_runs_the_smoke_marker(self):
         data, _ = _load("ci.yml")
         assert "pytest -m smoke" in _steps_text(data["jobs"]["smoke"])

@@ -7,11 +7,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from repro.errors import InfeasibleError, SolverError
+from repro.numeric import lp as lp_module
 from repro.numeric.convex import ConvexProgram
 from repro.numeric.lp import LinearProgram, solve_lp
 from repro.numeric import ser
@@ -76,6 +79,193 @@ def test_importing_the_lp_free_layers_leaves_scipy_optimize_out():
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "scipy.optimize was imported"
+
+
+#: scipy's linprog status codes in repro's names
+SCIPY_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
+
+
+def _seeded_lp(seed):
+    """A small random LP in linprog's arguments: <= and = rows with zeros
+    among small integer coefficients; free, one-sided, boxed and pinned
+    columns, now and then one with lower > upper; dense-list or CSR rows,
+    or no rows at all."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m_ub, m_eq = (0, 0) if seed % 7 == 0 else (int(rng.integers(0, 6)), int(rng.integers(0, 3)))
+    c = rng.integers(-3, 4, n).astype(float)
+    a_ub = rng.integers(-3, 4, (m_ub, n)) * (rng.random((m_ub, n)) < 0.7)
+    a_eq = rng.integers(-3, 4, (m_eq, n)) * (rng.random((m_eq, n)) < 0.7)
+    # right-hand sides around a point x0, so that about half are feasible
+    x0 = rng.integers(-3, 4, n)
+    b_ub = (a_ub @ x0 + rng.integers(-1, 4, m_ub)).astype(float)
+    b_eq = (a_eq @ x0 + (rng.random(m_eq) < 0.2)).astype(float)
+    bounds = []
+    for _ in range(n):
+        lo, hi = sorted(float(v) for v in rng.integers(-5, 6, 2))
+        # free, one-sided, boxed, pinned, and lower > upper unless hi == lo
+        choices = [(None, None), (lo, None), (None, hi), (lo, hi), (lo, lo), (hi, lo + 0.5)]
+        bounds.append(choices[rng.choice(6, p=[0.2, 0.2, 0.2, 0.2, 0.15, 0.05])])
+
+    def form(a):
+        return csr_matrix(a.astype(float)) if seed % 2 else a.astype(float).tolist()
+
+    return c, dict(
+        A_ub=form(a_ub) if m_ub else None,
+        b_ub=b_ub if m_ub else None,
+        A_eq=form(a_eq) if m_eq else None,
+        b_eq=b_eq if m_eq else None,
+        bounds=bounds,
+    )
+
+
+class TestHighsCalls:
+    """``repro.numeric.lp.linprog`` is scipy's ``linprog`` solve for solve."""
+
+    THIN_SLAB = (
+        [1.0, 0.0, 0.0],
+        dict(
+            A_ub=[[3.0, -1.0, -2.0], [-3.0, 1.0, 2.0]],
+            b_ub=[5.0, -float(Fraction(5) - Fraction(1, 999983))],
+            bounds=[(None, None)] * 3,
+        ),
+    )
+
+    def test_twin_of_scipy_linprog(self):
+        from scipy.optimize import linprog as scipy_linprog
+
+        cases = [_seeded_lp(seed) for seed in range(240)] + [self.THIN_SLAB]
+        seen = set()
+        for c, kwargs in cases:
+            for method in ("highs", "highs-ds"):
+                want = scipy_linprog(c, method=method, **kwargs)
+                got = lp_module.linprog(c, method=method, **kwargs)
+                assert got.status == SCIPY_STATUS[want.status], (c, kwargs)
+                assert got.nit == want.nit
+                seen.add(got.status)
+                if got.status != "optimal":
+                    continue
+                assert got.x.tobytes() == want.x.tobytes()
+                assert float(got.fun).hex() == float(want.fun).hex()
+                res = solve_lp(c, *(kwargs[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds")))
+                assert res.x.tobytes() == want.x.tobytes()
+                for j in range(len(c)):
+                    marginal = want.lower.marginals[j] + want.upper.marginals[j]
+                    assert float(res.column_marginal(j)).hex() == float(marginal).hex()
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
+    def test_status_map_is_scipys(self):
+        from scipy.optimize._highspy._core import HighsModelStatus
+        from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+        for member in HighsModelStatus.__members__.values():
+            code, _ = _highs_to_scipy_status_message(member, "")
+            assert lp_module._model_status(member) == SCIPY_STATUS[code], member
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", [1.0, math.nan]),
+            ("c", [math.inf, 1.0]),
+            ("A_ub", [[1.0, math.inf]]),
+            ("A_ub", "csr-nan"),
+            ("b_ub", [math.nan]),
+            ("A_eq", [[math.nan, 1.0]]),
+            ("b_eq", [-math.inf]),
+        ],
+    )
+    def test_non_finite_input_raises_like_linprog(self, field, value):
+        from scipy.optimize import linprog as scipy_linprog
+
+        args = dict(
+            c=[1.0, 1.0],
+            A_ub=[[1.0, 1.0]],
+            b_ub=[1.0],
+            A_eq=[[1.0, -1.0]],
+            b_eq=[0.0],
+            bounds=[(0, None)] * 2,
+        )
+        args[field] = csr_matrix([[1.0, math.nan]]) if value == "csr-nan" else value
+        with pytest.raises(ValueError):
+            scipy_linprog(method="highs", **args)
+        with pytest.raises(ValueError):
+            lp_module.linprog(method="highs", **args)
+
+    def test_missing_highspy_names_the_scipy_floor(self, monkeypatch):
+        import scipy.optimize._highspy as highspy
+
+        lp_module._highs.cache_clear()
+        monkeypatch.delattr(highspy, "_core")
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        try:
+            with pytest.raises(ImportError, match=f"scipy>={lp_module.SCIPY_FLOOR}"):
+                lp_module.linprog([1.0], bounds=[(0, 1)])
+        finally:
+            lp_module._highs.cache_clear()
+
+    @pytest.mark.parametrize("failure", ["numerical", "iteration-limit"])
+    def test_failed_solve_is_retried_once_on_the_simplex(self, monkeypatch, failure):
+        real = lp_module.linprog
+        methods = []
+
+        def fail_first(c, **kwargs):
+            methods.append(kwargs["method"])
+            if len(methods) == 1:
+                return lp_module.HighsResult(failure, "forced", 0)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(lp_module, "linprog", fail_first)
+        res = solve_lp([1.0], [[-1.0]], [-3.0])
+        assert res.ok and res.objective == 3.0
+        # perfbench counts a call with method="highs-ds" as lp.retries
+        assert methods == ["highs", "highs-ds"]
+
+    def test_second_failure_raises(self, monkeypatch):
+        methods = []
+
+        def always_fail(c, **kwargs):
+            methods.append(kwargs["method"])
+            return lp_module.HighsResult("numerical", "forced", 0)
+
+        monkeypatch.setattr(lp_module, "linprog", always_fail)
+        with pytest.raises(SolverError, match="forced"):
+            solve_lp([1.0], [[-1.0]], [-3.0])
+        assert methods == ["highs", "highs-ds"]
+
+    def test_linear_program_reaches_highs_only_through_linprog(self, monkeypatch):
+        # perfbench --trace 1 wraps repro.numeric.lp.linprog by name and reads
+        # its A_ub/A_eq keywords to count lp.calls, lp.rows and lp.nnz
+        core = lp_module._highs()
+        real_linprog, real_highs = lp_module.linprog, core._Highs
+        calls = []
+        inside = []
+
+        def linprog(c, *args, **kwargs):
+            assert not args
+            calls.append(kwargs)
+            inside.append(True)
+            try:
+                return real_linprog(c, **kwargs)
+            finally:
+                inside.pop()
+
+        def highs():
+            assert inside, "HiGHS reached outside repro.numeric.lp.linprog"
+            return real_highs()
+
+        monkeypatch.setattr(lp_module, "linprog", linprog)
+        monkeypatch.setattr(core, "_Highs", highs)
+        lp = LinearProgram()
+        lp.add_le(2 * var("e") - 3 - var("w"))
+        lp.add_eq(var("w") + var("v"))
+        assert lp.optimize(var("w"), fix=("e", 0.5)).ok
+        lp.add_le(var("w") + 10)
+        lp.add_le(-var("w") + 10)
+        assert lp.optimize(var("w")).status == "infeasible"
+        assert len(calls) == 3  # the infeasible one is confirmed by a second solve
+        for kwargs in calls:
+            assert kwargs["A_ub"].nnz and kwargs["A_eq"].nnz
+            assert kwargs["method"] == "highs"
 
 
 class TestLinearProgram:
