@@ -331,27 +331,53 @@ def _draw_list(pts: PTS) -> List[Tuple[float, Dict[str, Fraction]]]:
     return combos
 
 
+def _update_key(update) -> frozenset:
+    """Content key of one affine update (equal keys iff equal updates):
+    its lowerings are exact, so assignment and coefficient order do not
+    matter."""
+    return frozenset(update.assignments.items())
+
+
+def _lazy_guard(entry: list, guard, var_index: Dict[str, int]) -> Callable:
+    """A stand-in for ``entry[0]`` that compiles ``guard`` on its first
+    call, stores the predicate in ``entry[0]`` and answers that call."""
+
+    def first_call(f):
+        entry[0] = guard_fn = _compile_guard(guard, var_index)
+        return guard_fn(f)
+
+    return first_call
+
+
 def _compile_plan(pts: PTS):
-    """Per-location list of ``(guard_predicate, steppers)`` in transition
+    """Per-location list of ``[guard_predicate, steppers]`` in transition
     order, where ``steppers`` is ``[(probability, destination, step_fn)]``
-    over every fork/draw combination."""
+    over every fork/draw combination.
+
+    A stepper compiles once per distinct (update content, draw) pair.  A
+    guard predicate compiles the first time the BFS evaluates it (the
+    entry's stand-in replaces itself), so the guards of locations the
+    scalar loop never expands before a handoff cost nothing."""
     draw_list = _draw_list(pts)
     var_index = {v: i for i, v in enumerate(pts.program_vars)}
-    plan: Dict[str, List[Tuple[Callable, List[Tuple[float, str, Callable]]]]] = {}
-    step_cache: Dict[Tuple[int, int], Callable] = {}
+    plan: Dict[str, List[list]] = {}
+    step_cache: Dict[frozenset, List[Callable]] = {}
     for t in pts.transitions:
-        guard_fn = _compile_guard(t.guard, var_index)
         steppers: List[Tuple[float, str, Callable]] = []
         for fork in t.forks:
+            key = _update_key(fork.update)
+            steps = step_cache.get(key)
+            if steps is None:
+                steps = step_cache[key] = [
+                    _compile_step(fork.update, pts.program_vars, var_index, draw)
+                    for _, draw in draw_list
+                ]
             p_fork = float(fork.probability)
-            for d_idx, (draw_p, draw) in enumerate(draw_list):
-                key = (id(fork.update), d_idx)
-                step = step_cache.get(key)
-                if step is None:
-                    step = _compile_step(fork.update, pts.program_vars, var_index, draw)
-                    step_cache[key] = step
+            for (draw_p, _), step in zip(draw_list, steps):
                 steppers.append((p_fork * draw_p, fork.destination, step))
-        plan.setdefault(t.source, []).append((guard_fn, steppers))
+        entry = [None, steppers]
+        entry[0] = _lazy_guard(entry, t.guard, var_index)
+        plan.setdefault(t.source, []).append(entry)
     return plan
 
 
@@ -539,7 +565,10 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
     otherwise — the ``lattice`` tag (``"int64"``/``"scaled"``) of the
     admission record names which.  Guard rows lower through
     :func:`_guard_row` (which owns the float-agreement argument), steppers
-    through :func:`_step_rows`.
+    through :func:`_step_rows`, each once per distinct atom (coefficient
+    order included, since `_guard_row` sums its float magnitude in that
+    order) and once per distinct (update content, draw) pair; the
+    admission record still holds one entry per row and per stepper.
     """
     report = pts.integrality()
     if report.scale is None:
@@ -559,7 +588,8 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
     guard_entries: List[Dict] = []
     step_entries: List[Dict] = []
     rows_by_loc: Dict[int, List[Tuple]] = {}
-    step_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, int]] = {}
+    guard_cache: Dict[Tuple, Dict] = {}
+    step_cache: Dict[frozenset, List[Tuple[np.ndarray, np.ndarray, int]]] = {}
     step_prob: List[float] = []
     step_row: List[List[int]] = []
     step_a: List[np.ndarray] = []
@@ -567,27 +597,34 @@ def _compile_int_plan(pts: PTS) -> Optional[_IntPlan]:
         guard_rows: List[List[int]] = []
         guard_consts: List[int] = []
         for k, ineq in enumerate(t.guard.inequalities):
-            entry = _guard_row(ineq.expr, var_index, scale, limits, ti, k)
-            if entry is None:
-                return None
+            key = ineq.expr.ordered_key()
+            lowered = guard_cache.get(key)
+            if lowered is None:
+                lowered = _guard_row(ineq.expr, var_index, scale, limits, ti, k)
+                if lowered is None:
+                    return None
+                guard_cache[key] = lowered
+            entry = {**lowered, "transition": ti, "ineq": k, "row": list(lowered["row"])}
             guard_entries.append(entry)
             guard_rows.append(entry["row"])
             guard_consts.append(entry["const"])
         first_step = len(step_prob)
         for fi, fork in enumerate(t.forks):
+            key = _update_key(fork.update)
+            lowered_steps = step_cache.get(key)
+            if lowered_steps is None:
+                lowered_steps = [
+                    _step_rows(fork.update, draw, program_vars, var_index, scale, limits)
+                    for _, draw in draw_list
+                ]
+                if None in lowered_steps:
+                    return None
+                step_cache[key] = lowered_steps
             p_fork = float(fork.probability)
             dest = loc_id[fork.destination]
-            for d_idx, (draw_p, draw) in enumerate(draw_list):
-                key = (id(fork.update), d_idx)
-                cached = step_cache.get(key)
-                if cached is None:
-                    cached = _step_rows(
-                        fork.update, draw, program_vars, var_index, scale, limits
-                    )
-                    if cached is None:
-                        return None
-                    step_cache[key] = cached
-                a_mat, c_vec, headroom = cached
+            for d_idx, ((draw_p, _), (a_mat, c_vec, headroom)) in enumerate(
+                zip(draw_list, lowered_steps)
+            ):
                 step_entries.append(
                     {"transition": ti, "fork": fi, "draw": d_idx, "headroom": headroom}
                 )
@@ -797,7 +834,8 @@ def _build_model_exact(
     intern table exactly like the frontier engines' batch windows, so the
     per-level certificate digests agree across engines bit for bit.
     Given a lattice ``plan``, the first level of ``_BATCH_MIN_WIDTH`` or
-    more states hands the run to :func:`_build_model_int` instead.
+    more states hands the run to :func:`_build_model_int` instead.  A
+    guard predicate compiles the first time a state evaluates it.
     """
     compiled = _compile_plan(pts)
     loc_id = {name: i for i, name in enumerate(pts.locations)}

@@ -29,8 +29,13 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ModelError
-from repro.polyhedra.constraints import AffineIneq, Polyhedron
-from repro.polyhedra.dd import polyhedron_generators
+from repro.polyhedra.constraints import (
+    Box,
+    Interval,
+    Polyhedron,
+    _box_to_polyhedron,
+    _tighten_box_by_guard,
+)
 from repro.polyhedra.linexpr import LinExpr
 from repro.pts.model import PTS, Transition
 
@@ -150,10 +155,6 @@ class InvariantMap:
 # interval abstract interpretation
 # ---------------------------------------------------------------------------
 
-Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # (lo, hi); None = unbounded
-Box = Dict[str, Interval]
-
-
 def _interval_add(a: Interval, b: Interval) -> Interval:
     lo = None if a[0] is None or b[0] is None else a[0] + b[0]
     hi = None if a[1] is None or b[1] is None else a[1] + b[1]
@@ -229,103 +230,6 @@ def _eval_expr_interval(expr: LinExpr, box: Box, sampling_supports: Box) -> Inte
         else:
             iv = (None, None)
         result = _interval_add(result, _interval_scale(iv, coeff))
-    return result
-
-
-def _box_to_polyhedron(box: Box, variables) -> Polyhedron:
-    ineqs: List[AffineIneq] = []
-    for v in variables:
-        lo, hi = box.get(v, (None, None))
-        if lo is not None:
-            ineqs.append(AffineIneq.ge(LinExpr.variable(v), lo))
-        if hi is not None:
-            ineqs.append(AffineIneq.le(LinExpr.variable(v), hi))
-    return Polyhedron(variables, ineqs)
-
-
-def _clip(iv: Interval, coeff: Fraction, rhs: Fraction) -> Interval:
-    """``iv ∩ {x : coeff * x <= rhs}`` for ``coeff != 0``."""
-    lo, hi = iv
-    bound = rhs / coeff
-    if coeff > 0:
-        return lo, (bound if hi is None else min(hi, bound))
-    return (bound if lo is None else max(lo, bound)), hi
-
-
-def _min_term(coeff: Fraction, iv: Interval) -> Optional[Fraction]:
-    """``min coeff * x`` over ``x`` in ``iv`` (``None`` = -infinity)."""
-    end = iv[0] if coeff > 0 else iv[1]
-    return None if end is None else coeff * end
-
-
-def _tighten_box_by_guard(box: Box, guard: Polyhedron) -> Optional[Box]:
-    """The exact bounding box of ``box ∩ guard``, or ``None`` when empty.
-
-    A guard can only change the variables it mentions; every other bound
-    passes through.  Single-variable atoms clip the box.  The rest (atoms
-    over two or more variables, "coupled") go to :func:`_project_one_atom`
-    when there is one of them and to :func:`_project_by_generators` when
-    there are more.  All arithmetic is exact.
-    """
-    tightened = dict(box)
-    coupled: List[AffineIneq] = []
-    for ineq in guard.inequalities:
-        names = ineq.variables()
-        if len(names) == 1:
-            (name,) = names
-            tightened[name] = _clip(tightened[name], ineq.expr.coeff(name), -ineq.expr.const)
-        elif names:
-            coupled.append(ineq)
-        else:  # ``c <= 0`` with c > 0: Polyhedron() drops the true constant atoms
-            return None
-    if any(lo is not None and hi is not None and lo > hi for lo, hi in tightened.values()):
-        return None
-    if len(coupled) == 1:
-        return _project_one_atom(tightened, coupled[0].expr)
-    if coupled:
-        return _project_by_generators(tightened, coupled)
-    return tightened
-
-
-def _project_one_atom(box: Box, expr: LinExpr) -> Optional[Box]:
-    """Exact bounding box of ``box ∩ {Σ a_j x_j + c <= 0}``.
-
-    One pass of ``a_i x_i <= -c - Σ_{j≠i} min(a_j x_j)`` (minima over the
-    box) is the exact projection: the other coordinates can sit at their
-    minimizing ends independently.  The intersection is empty iff
-    ``Σ_j min(a_j x_j) + c > 0``.  A term unbounded below leaves every
-    *other* variable unconstrained by the atom.
-    """
-    mins = {v: _min_term(a, box[v]) for v, a in expr.iter_coeffs()}
-    unbounded = [v for v, m in mins.items() if m is None]
-    finite = expr.const + sum(m for m in mins.values() if m is not None)
-    if not unbounded and finite > 0:
-        return None
-    result = dict(box)
-    for v, a in expr.iter_coeffs():
-        if not unbounded or unbounded == [v]:
-            # finite - min(a_v x_v) = c + Σ_{j≠v} min(a_j x_j)
-            result[v] = _clip(box[v], a, (mins[v] or 0) - finite)
-    return result
-
-
-def _project_by_generators(box: Box, coupled: List[AffineIneq]) -> Optional[Box]:
-    """Exact bounding box of ``box ∩ coupled`` from its V-representation.
-
-    Only the variables the coupled atoms mention enter the double
-    description; the box is a product, so the others keep their bounds.
-    """
-    names = sorted({v for ineq in coupled for v in ineq.variables()})
-    sub = _box_to_polyhedron(box, names).and_ineqs(coupled)
-    gens = polyhedron_generators(sub)
-    if gens.is_empty:
-        return None
-    result = dict(box)
-    for i, v in enumerate(names):
-        free = any(line[i] != 0 for line in gens.lines)
-        lo = None if free or any(r[i] < 0 for r in gens.rays) else min(p[i] for p in gens.points)
-        hi = None if free or any(r[i] > 0 for r in gens.rays) else max(p[i] for p in gens.points)
-        result[v] = (lo, hi)
     return result
 
 

@@ -508,7 +508,9 @@ def derive_admission(pts) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     integrality report's scale (all ones on an integer-lattice PTS); the
     ``lattice`` tag names the per-variable limits rule, ``2**31`` on an
     integer-lattice PTS (``"int64"``) and ``min(2**31, s_v * 2**15)``
-    otherwise (``"scaled"``)."""
+    otherwise (``"scaled"``).  Each distinct guard atom and each distinct
+    (update, draw) pair is derived once; the record still holds one entry
+    per row and per stepper."""
     report = pts.integrality()
     if report.scale is None:
         return None, (
@@ -527,17 +529,30 @@ def derive_admission(pts) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
         return None, "continuous sampling distribution"
     guards: List[Dict[str, Any]] = []
     steps: List[Dict[str, Any]] = []
+    # keyed by content; an atom's key keeps its coefficient order because
+    # the gap rule sums its float magnitude in that order, while a stepper
+    # is exact, so an update keys as its set of assignments
+    guard_memo: Dict[Tuple, Optional[Dict[str, Any]]] = {}
+    step_memo: Dict[frozenset, List[Optional[int]]] = {}
     for ti, t in enumerate(pts.transitions):
         for k, ineq in enumerate(t.guard.inequalities):
-            entry = _derive_guard_entry(ineq.expr, var_index, scale, limits, ti, k)
-            if entry is None:
+            key = ineq.expr.ordered_key()
+            if key not in guard_memo:
+                guard_memo[key] = _derive_guard_entry(ineq.expr, var_index, scale, limits, ti, k)
+            derived = guard_memo[key]
+            if derived is None:
                 return None, f"guard row {k} of transition {ti} is inadmissible"
-            guards.append(entry)
+            guards.append({**derived, "transition": ti, "ineq": k, "row": list(derived["row"])})
         for fi, fork in enumerate(t.forks):
-            for di, draw in enumerate(draws):
-                headroom = _derive_step_headroom(
-                    fork.update, draw, program_vars, var_index, scale, limits
-                )
+            update_key = frozenset(fork.update.assignments.items())
+            if update_key not in step_memo:
+                step_memo[update_key] = [
+                    _derive_step_headroom(
+                        fork.update, draw, program_vars, var_index, scale, limits
+                    )
+                    for draw in draws
+                ]
+            for di, headroom in enumerate(step_memo[update_key]):
                 if headroom is None:
                     return None, (
                         f"stepper (transition {ti}, fork {fi}, draw {di}) "

@@ -349,9 +349,42 @@ def _sampling_vars_used(update: AffineUpdate, sampling: set) -> set:
     return used
 
 
-def _is_trivial(pts: PTS, loc: str) -> Optional[Fork]:
+def _by_source(transitions: Sequence[Transition]) -> Dict[str, List[Transition]]:
+    """``transitions_from`` of a round's transition list, without building
+    (and validating) a whole PTS for it."""
+    index: Dict[str, List[Transition]] = {}
+    for t in transitions:
+        index.setdefault(t.source, []).append(t)
+    return index
+
+
+def _interior_locations(pts: PTS, transitions: Sequence[Transition]) -> List[str]:
+    """The non-sink locations of ``transitions`` under ``pts``'s initial
+    location, sorted (the order of ``PTS.interior_locations``)."""
+    names = {pts.init_location}
+    for t in transitions:
+        names.add(t.source)
+        names.update(f.destination for f in t.forks)
+    names.discard(pts.term_location)
+    names.discard(pts.fail_location)
+    return sorted(names)
+
+
+def _rebuilt(pts: PTS, transitions: Sequence[Transition]) -> PTS:
+    """``pts`` with its transitions replaced (validated once, per pass)."""
+    return PTS(
+        pts.program_vars,
+        pts.init_location,
+        pts.init_valuation,
+        transitions,
+        pts.distributions,
+        name=pts.name,
+    )
+
+
+def _is_trivial(by_source: Dict[str, List[Transition]], loc: str) -> Optional[Fork]:
     """The single unconditional deterministic fork out of ``loc``, if any."""
-    ts = pts.transitions_from(loc)
+    ts = by_source.get(loc, ())
     if len(ts) != 1:
         return None
     t = ts[0]
@@ -370,18 +403,11 @@ def _elide_trivial_locations(pts: PTS, keep: set) -> PTS:
     transitions = list(pts.transitions)
     while changed:
         changed = False
-        current = PTS(
-            pts.program_vars,
-            pts.init_location,
-            pts.init_valuation,
-            transitions,
-            pts.distributions,
-            name=pts.name,
-        )
-        for loc in current.interior_locations:
-            if loc == current.init_location or loc in keep:
+        by_source = _by_source(transitions)
+        for loc in _interior_locations(pts, transitions):
+            if loc == pts.init_location or loc in keep:
                 continue
-            through = _is_trivial(current, loc)
+            through = _is_trivial(by_source, loc)
             if through is None:
                 continue
             through_samples = _sampling_vars_used(through.update, sampling)
@@ -416,25 +442,27 @@ def _elide_trivial_locations(pts: PTS, keep: set) -> PTS:
                 transitions = [t for t in new_transitions if t.source != loc]
                 changed = True
                 break
-    return PTS(
-        pts.program_vars,
-        pts.init_location,
-        pts.init_valuation,
-        transitions,
-        pts.distributions,
-        name=pts.name,
-    )
+    return _rebuilt(pts, transitions)
 
 
-def _substitute_guard(guard: Polyhedron, update: AffineUpdate, variables) -> Polyhedron:
-    """The weakest precondition of ``guard`` under a deterministic update."""
+def _substitute_guard(
+    guard: Polyhedron, update: AffineUpdate, pulled: Dict[Tuple, AffineIneq]
+) -> List[AffineIneq]:
+    """The weakest precondition of ``guard`` under a deterministic update,
+    atom by atom.  ``pulled`` holds the atoms already pulled back through
+    ``update``, keyed by content and coefficient order (the order the
+    result's coefficients follow), so each distinct atom is substituted
+    once."""
     ineqs = []
     for ineq in guard.inequalities:
-        expr = ineq.expr.substitute(
-            {name: update.expr_for(name) for name in ineq.expr.variables()}
-        )
-        ineqs.append(AffineIneq(expr))
-    return Polyhedron(variables, ineqs)
+        expr = ineq.expr
+        key = expr.ordered_key()
+        atom = pulled.get(key)
+        if atom is None:
+            mapping = {name: update.expr_for(name) for name in expr.variables()}
+            atom = pulled[key] = AffineIneq(expr.substitute(mapping))
+        ineqs.append(atom)
+    return ineqs
 
 
 def _propagate_guard_chains(pts: PTS, keep: set, max_rounds: int = 40) -> PTS:
@@ -453,19 +481,12 @@ def _propagate_guard_chains(pts: PTS, keep: set, max_rounds: int = 40) -> PTS:
     sampling = set(pts.distributions)
     transitions = list(pts.transitions)
     for _ in range(max_rounds):
-        current = PTS(
-            pts.program_vars,
-            pts.init_location,
-            pts.init_valuation,
-            transitions,
-            pts.distributions,
-            name=pts.name,
-        )
+        by_source = _by_source(transitions)
         target = None
-        for loc in current.interior_locations:
-            if loc == current.init_location or loc in keep:
+        for loc in _interior_locations(pts, transitions):
+            if loc == pts.init_location or loc in keep:
                 continue
-            outgoing = current.transitions_from(loc)
+            outgoing = by_source.get(loc)
             if not outgoing:
                 continue
             if not all(
@@ -494,7 +515,7 @@ def _propagate_guard_chains(pts: PTS, keep: set, max_rounds: int = 40) -> PTS:
             break
         if target is None:
             break
-        outgoing = current.transitions_from(target)
+        outgoing = by_source[target]
         rewritten: List[Transition] = []
         for t in transitions:
             if t.source == target:
@@ -503,11 +524,12 @@ def _propagate_guard_chains(pts: PTS, keep: set, max_rounds: int = 40) -> PTS:
             if fork is None or fork.destination != target:
                 rewritten.append(t)
                 continue
-            for k, out in enumerate(outgoing):
-                pulled = _substitute_guard(out.guard, fork.update, pts.program_vars)
+            pulled: Dict[Tuple, AffineIneq] = {}
+            for out in outgoing:
                 guard = Polyhedron(
                     pts.program_vars,
-                    list(t.guard.inequalities) + list(pulled.inequalities),
+                    list(t.guard.inequalities)
+                    + _substitute_guard(out.guard, fork.update, pulled),
                 )
                 if guard.is_empty():
                     continue
@@ -526,14 +548,7 @@ def _propagate_guard_chains(pts: PTS, keep: set, max_rounds: int = 40) -> PTS:
                     )
                 )
         transitions = rewritten
-    return PTS(
-        pts.program_vars,
-        pts.init_location,
-        pts.init_valuation,
-        transitions,
-        pts.distributions,
-        name=pts.name,
-    )
+    return _rebuilt(pts, transitions)
 
 
 def _flatten_probabilistic_chains(pts: PTS, keep: set, max_rounds: int = 200) -> PTS:
@@ -549,16 +564,10 @@ def _flatten_probabilistic_chains(pts: PTS, keep: set, max_rounds: int = 200) ->
     and removes per-location constraint pessimism.
     """
     sampling = set(pts.distributions)
+    sinks = (pts.term_location, pts.fail_location)
     transitions = list(pts.transitions)
     for _ in range(max_rounds):
-        current = PTS(
-            pts.program_vars,
-            pts.init_location,
-            pts.init_valuation,
-            transitions,
-            pts.distributions,
-            name=pts.name,
-        )
+        by_source = _by_source(transitions)
         flattened = False
         new_transitions: List[Transition] = []
         for t in transitions:
@@ -566,15 +575,10 @@ def _flatten_probabilistic_chains(pts: PTS, keep: set, max_rounds: int = 200) ->
             changed = False
             for f in t.forks:
                 m = f.destination
-                if (
-                    m == t.source
-                    or m in keep
-                    or current.is_sink(m)
-                    or m == current.init_location
-                ):
+                if m == t.source or m in keep or m in sinks or m == pts.init_location:
                     new_forks.append(f)
                     continue
-                outgoing = current.transitions_from(m)
+                outgoing = by_source.get(m, ())
                 if len(outgoing) != 1 or outgoing[0].guard.inequalities:
                     new_forks.append(f)
                     continue
@@ -623,14 +627,7 @@ def _flatten_probabilistic_chains(pts: PTS, keep: set, max_rounds: int = 200) ->
         transitions = new_transitions
         if not flattened:
             break
-    return PTS(
-        pts.program_vars,
-        pts.init_location,
-        pts.init_valuation,
-        transitions,
-        pts.distributions,
-        name=pts.name,
-    )
+    return _rebuilt(pts, transitions)
 
 
 def _fold_initial(pts: PTS) -> PTS:
@@ -640,10 +637,7 @@ def _fold_initial(pts: PTS) -> PTS:
     init_val = dict(pts.init_valuation)
     transitions = list(pts.transitions)
     while True:
-        current = PTS(
-            pts.program_vars, init_loc, init_val, transitions, pts.distributions, name=pts.name
-        )
-        fork = _is_trivial(current, init_loc)
+        fork = _is_trivial(_by_source(transitions), init_loc)
         if fork is None or _sampling_vars_used(fork.update, sampling):
             break
         # folding is only safe when nothing else jumps back to the old init
@@ -680,15 +674,7 @@ def _remove_unreachable(pts: PTS) -> PTS:
                 if f.destination not in reachable:
                     reachable.add(f.destination)
                     frontier.append(f.destination)
-    transitions = [t for t in pts.transitions if t.source in reachable]
-    return PTS(
-        pts.program_vars,
-        pts.init_location,
-        pts.init_valuation,
-        transitions,
-        pts.distributions,
-        name=pts.name,
-    )
+    return _rebuilt(pts, [t for t in pts.transitions if t.source in reachable])
 
 
 # ---------------------------------------------------------------------------

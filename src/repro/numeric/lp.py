@@ -70,7 +70,10 @@ def _highs():
 
 @functools.lru_cache(maxsize=None)
 def _options(method: str):
-    """``linprog``'s HiGHS options for ``method="highs"`` or ``"highs-ds"``."""
+    """``linprog``'s HiGHS options for ``method="highs"``, or for
+    ``"highs-ds"`` with ``options={"presolve": False}``: the retry's
+    simplex then starts from the model as given, not the presolved one
+    the failed attempt solved."""
     core = _highs()
     options = core.HighsOptions()
     options.presolve = "on"
@@ -80,6 +83,7 @@ def _options(method: str):
     options.log_to_console = False
     if method == "highs-ds":
         options.solver = "simplex"
+        options.presolve = "off"
     elif method != "highs":
         raise ValueError(f"unknown HiGHS method {method!r}")
     return options
@@ -142,8 +146,9 @@ def _row_block(a, b, n: int, name: str) -> Tuple[np.ndarray, np.ndarray, np.ndar
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
     """``scipy.optimize.linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method)``
-    for ``method`` ``"highs"`` or ``"highs-ds"``, solve for solve: the same
-    answer to the last bit, the same iteration count and the same status.
+    for ``method`` ``"highs"``, or ``"highs-ds"`` with
+    ``options={"presolve": False}``, solve for solve: the same answer to
+    the last bit, the same iteration count and the same status.
 
     This is the module's one call into HiGHS.  ``bounds`` are ``(lower,
     upper)`` pairs with ``None`` for infinite, ``(0, None)`` each by default
@@ -245,8 +250,9 @@ class LPResult:
         return 0.0
 
 
-#: statuses worth one retry with HiGHS's solver fixed to the simplex
-#: (``method="highs-ds"``) instead of left to HiGHS's choice
+#: statuses worth one retry with HiGHS's solver fixed to the simplex and
+#: presolve off (``method="highs-ds"``), instead of HiGHS's choice of
+#: solver on the presolved model
 _RETRY_STATUSES = ("iteration-limit", "numerical")
 
 
@@ -274,7 +280,10 @@ def solve_lp(
     default).  Constraint matrices may be dense sequences or ``scipy.sparse``
     matrices.  On an "iteration-limit" or "numerical" status the solve is
     retried once through ``linprog(..., method="highs-ds")``, which fixes
-    HiGHS's solver to the simplex, before raising :class:`SolverError`.  An
+    HiGHS's solver to the simplex and turns presolve off, before raising
+    :class:`SolverError`.  (Left to itself HiGHS picks its dual simplex on
+    the presolved model, so a retry with presolve on would repeat the
+    failed solve.)  An
     "infeasible" status is confirmed by the zero-objective LP over the same
     rows and bounds: HiGHS's presolve reports some feasible, unbounded LPs as
     infeasible (min ``x0`` over the slab ``5 - 1/999983 <= 3 x0 - x1 - 2 x2

@@ -3,15 +3,19 @@
 A :class:`AffineIneq` is an exact constraint ``expr <= 0``; a
 :class:`Polyhedron` is a finite conjunction of such constraints over a fixed
 variable tuple, i.e. ``{v : M v <= d}``.  Queries that need more than
-pointwise evaluation (emptiness, boundedness, maximization, implication)
-are answered exactly from the polyhedron's V-representation, computed once
-per instance by the double description method (:mod:`repro.polyhedra.dd`).
+pointwise evaluation (boundedness, maximization, implication) are answered
+exactly from the polyhedron's V-representation, computed once per instance
+by the double description method (:mod:`repro.polyhedra.dd`).  Emptiness
+reads that V-representation when it is already known or when two or more
+atoms couple variables; otherwise exact bound propagation over a box
+decides it (:func:`_tighten_box_by_guard`, which interval invariant
+generation shares) and no double description runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.polyhedra import dd
@@ -19,6 +23,9 @@ from repro.polyhedra.linexpr import LinExpr
 from repro.utils.numbers import Number, as_fraction
 
 __all__ = ["AffineIneq", "Polyhedron"]
+
+Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # (lo, hi); None = unbounded
+Box = Dict[str, Interval]
 
 
 class AffineIneq:
@@ -190,7 +197,19 @@ class Polyhedron:
         return self._generators
 
     def is_empty(self) -> bool:
-        """True iff the polyhedron has no points."""
+        """True iff the polyhedron has no points (exact).
+
+        Memoized generators answer at once.  With at most one atom over two
+        or more variables, exact bound propagation decides: the polyhedron
+        is empty iff tightening the all-free box by it fails.  With more
+        coupled atoms the double description runs (and is memoized for the
+        queries that usually follow).
+        """
+        if self._generators is None:
+            coupled = sum(1 for ineq in self.inequalities if len(ineq.expr.iter_coeffs()) > 1)
+            if coupled <= 1:
+                free: Box = {v: (None, None) for v in self.variables}
+                return _tighten_box_by_guard(free, self) is None
         return not self.generators().points
 
     def maximize(self, objective: LinExpr) -> Tuple[str, Optional[Fraction]]:
@@ -226,3 +245,105 @@ class Polyhedron:
     def __repr__(self) -> str:
         body = " and ".join(str(i) for i in self.inequalities) or "true"
         return f"Polyhedron[{', '.join(self.variables)} | {body}]"
+
+
+# ---------------------------------------------------------------------------
+# exact bounding boxes (bound propagation)
+# ---------------------------------------------------------------------------
+
+
+def _box_to_polyhedron(box: Box, variables) -> Polyhedron:
+    ineqs: List[AffineIneq] = []
+    for v in variables:
+        lo, hi = box.get(v, (None, None))
+        if lo is not None:
+            ineqs.append(AffineIneq.ge(LinExpr.variable(v), lo))
+        if hi is not None:
+            ineqs.append(AffineIneq.le(LinExpr.variable(v), hi))
+    return Polyhedron(variables, ineqs)
+
+
+def _clip(iv: Interval, coeff: Fraction, rhs: Fraction) -> Interval:
+    """``iv ∩ {x : coeff * x <= rhs}`` for ``coeff != 0``."""
+    lo, hi = iv
+    bound = rhs / coeff
+    if coeff > 0:
+        return lo, (bound if hi is None else min(hi, bound))
+    return (bound if lo is None else max(lo, bound)), hi
+
+
+def _min_term(coeff: Fraction, iv: Interval) -> Optional[Fraction]:
+    """``min coeff * x`` over ``x`` in ``iv`` (``None`` = -infinity)."""
+    end = iv[0] if coeff > 0 else iv[1]
+    return None if end is None else coeff * end
+
+
+def _tighten_box_by_guard(box: Box, guard: Polyhedron) -> Optional[Box]:
+    """The exact bounding box of ``box ∩ guard``, or ``None`` when empty.
+
+    A guard can only change the variables it mentions; every other bound
+    passes through.  Single-variable atoms clip the box.  The rest (atoms
+    over two or more variables, "coupled") go to :func:`_project_one_atom`
+    when there is one of them and to :func:`_project_by_generators` when
+    there are more.  All arithmetic is exact.
+    """
+    tightened = dict(box)
+    coupled: List[AffineIneq] = []
+    for ineq in guard.inequalities:
+        names = ineq.variables()
+        if len(names) == 1:
+            (name,) = names
+            tightened[name] = _clip(tightened[name], ineq.expr.coeff(name), -ineq.expr.const)
+        elif names:
+            coupled.append(ineq)
+        else:  # ``c <= 0`` with c > 0: Polyhedron() drops the true constant atoms
+            return None
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in tightened.values()):
+        return None
+    if len(coupled) == 1:
+        return _project_one_atom(tightened, coupled[0].expr)
+    if coupled:
+        return _project_by_generators(tightened, coupled)
+    return tightened
+
+
+def _project_one_atom(box: Box, expr: LinExpr) -> Optional[Box]:
+    """Exact bounding box of ``box ∩ {Σ a_j x_j + c <= 0}``.
+
+    One pass of ``a_i x_i <= -c - Σ_{j≠i} min(a_j x_j)`` (minima over the
+    box) is the exact projection: the other coordinates can sit at their
+    minimizing ends independently.  The intersection is empty iff
+    ``Σ_j min(a_j x_j) + c > 0``.  A term unbounded below leaves every
+    *other* variable unconstrained by the atom.
+    """
+    mins = {v: _min_term(a, box[v]) for v, a in expr.iter_coeffs()}
+    unbounded = [v for v, m in mins.items() if m is None]
+    finite = expr.const + sum(m for m in mins.values() if m is not None)
+    if not unbounded and finite > 0:
+        return None
+    result = dict(box)
+    for v, a in expr.iter_coeffs():
+        if not unbounded or unbounded == [v]:
+            # finite - min(a_v x_v) = c + Σ_{j≠v} min(a_j x_j)
+            result[v] = _clip(box[v], a, (mins[v] or 0) - finite)
+    return result
+
+
+def _project_by_generators(box: Box, coupled: List[AffineIneq]) -> Optional[Box]:
+    """Exact bounding box of ``box ∩ coupled`` from its V-representation.
+
+    Only the variables the coupled atoms mention enter the double
+    description; the box is a product, so the others keep their bounds.
+    """
+    names = sorted({v for ineq in coupled for v in ineq.variables()})
+    sub = _box_to_polyhedron(box, names).and_ineqs(coupled)
+    gens = dd.polyhedron_generators(sub)
+    if gens.is_empty:
+        return None
+    result = dict(box)
+    for i, v in enumerate(names):
+        free = any(line[i] != 0 for line in gens.lines)
+        lo = None if free or any(r[i] < 0 for r in gens.rays) else min(p[i] for p in gens.points)
+        hi = None if free or any(r[i] > 0 for r in gens.rays) else max(p[i] for p in gens.points)
+        result[v] = (lo, hi)
+    return result

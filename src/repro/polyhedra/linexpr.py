@@ -95,6 +95,13 @@ class LinExpr:
         """
         return self._coeffs.items()
 
+    def ordered_key(self) -> Tuple:
+        """A hashable key that two expressions share iff they are equal
+        *and* list their coefficients in the same order — the order of
+        :meth:`iter_coeffs`, which float evaluations sum in.  Cheap on a
+        repeated expression: the hash of the expression itself is cached."""
+        return self, tuple(self._coeffs)
+
     def variables(self) -> Tuple[str, ...]:
         """Sorted tuple of variables with nonzero coefficient."""
         return tuple(sorted(self._coeffs))
@@ -165,14 +172,32 @@ class LinExpr:
 
         Variables absent from ``mapping`` are left intact.  Substitution of
         affine expressions into an affine expression stays affine.
+
+        Terms accumulate in one dict, in first-appearance order; a
+        coefficient that cancels is dropped at once, so a variable that
+        reappears afterwards goes to the end.
         """
-        result = LinExpr.constant(self._const)
+        coeffs: Dict[str, Fraction] = {}
+        const = self._const
         for name, coeff in self._coeffs.items():
             if name in mapping:
-                result = result + LinExpr.coerce(mapping[name]) * coeff
+                image = LinExpr.coerce(mapping[name])
+                if image._const:
+                    const += image._const * coeff
+                if coeff == 1:
+                    terms = image._coeffs.items()
+                else:
+                    terms = [(inner, value * coeff) for inner, value in image._coeffs.items()]
             else:
-                result = result + LinExpr({name: coeff})
-        return result
+                terms = ((name, coeff),)
+            for inner, value in terms:
+                prior = coeffs.get(inner)
+                total = value if prior is None else prior + value
+                if total:
+                    coeffs[inner] = total
+                else:
+                    del coeffs[inner]
+        return LinExpr(coeffs, const)
 
     def restrict(self, names: Iterable[str]) -> "LinExpr":
         """The sub-expression over ``names`` only, with zero constant."""

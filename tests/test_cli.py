@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -231,3 +233,62 @@ def test_selftest_finishes_serially_when_the_pool_keeps_dying(capsys):
     with plan.installed():
         assert main(["selftest", "--jobs", "2"]) == 0
     assert "3/3 families ok" in capsys.readouterr().out
+
+
+class TestBench:
+    def test_skip_reference_appends_one_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "trajectory.json"
+        earlier = {"timestamp": "earlier", "results": []}
+        out.write_text(json.dumps({"runs": [earlier]}))
+        argv = ["bench", "--skip-reference", "--max-states", "200", "--out", str(out)]
+        assert main(argv) == 0
+        runs = json.loads(out.read_text())["runs"]
+        assert len(runs) == 2 and runs[0] == earlier
+        run = runs[1]
+        assert run["host"] and run["source"] == "repro bench"
+        assert len(run["results"]) == 13
+        for entry in run["results"]:
+            assert entry["max_states"] == 200 and "reference_seconds" not in entry
+            assert 0.0 <= entry["lower"] <= entry["upper"] <= 1.0, entry["program"]
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.json"]
+        assert "perf trajectory appended" in capsys.readouterr().out
+
+
+class TestCache:
+    @pytest.fixture(autouse=True)
+    def _no_env_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+
+    def _populate(self, directory):
+        from repro.engine import AnalysisEngine, AnalysisTask, ProgramSpec, ResultCache
+
+        spec = ProgramSpec.from_source(CHAIN, name="cli-cache")
+        with AnalysisEngine(cache=ResultCache(directory)) as engine:
+            for algorithm in ("exact", "hoeffding"):
+                assert engine.run_inline(AnalysisTask.make(algorithm, spec)).ok
+        return sorted(p.name for p in directory.iterdir() if p.suffix == ".pkl")
+
+    def test_stats_on_an_empty_directory(self, tmp_path, capsys):
+        assert main(["cache", "stats", "--dir", str(tmp_path / "c")]) == 0
+        out = capsys.readouterr().out
+        assert "entries         : 0" in out
+        assert "total size      : 0 B" in out
+        assert "byte budget     : unbounded" in out
+
+    def test_stats_and_gc_on_a_populated_directory(self, tmp_path, capsys):
+        directory = tmp_path / "c"
+        entries = self._populate(directory)
+        assert len(entries) == 2
+        assert main(["cache", "stats", "--dir", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "entries         : 2" in out
+        assert "certificates    : 1 of 2 entries (1 without)" in out
+        assert main(["cache", "gc", "--dir", str(directory), "--max-bytes", "1"]) == 0
+        assert "evicted 2 entries" in capsys.readouterr().out
+        assert not [p for p in directory.iterdir() if p.suffix == ".pkl"]
+
+    @pytest.mark.parametrize("budget", [[], ["--max-bytes", "bogus"]], ids=["unset", "bogus"])
+    def test_gc_needs_a_valid_budget(self, tmp_path, capsys, budget):
+        assert main(["cache", "gc", "--dir", str(tmp_path / "c"), *budget]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -833,3 +833,110 @@ assert y <= 0
     assert fast.n == exact.n
     assert_csr_identical(fast.matrix, exact.matrix)
     assert np.isclose(fast.matrix.sum(axis=1).max(), 1.0)
+
+
+#: equal guard atoms whose coefficients come in different orders: the two
+#: probabilistic branches keep their own ``x + y <= 6`` and ``y + x <= 6``
+REORDERED_ATOMS = """
+x := 0
+y := 0
+while x <= 10:
+    if prob(1/2):
+        if x + y <= 6:
+            x := x + 1
+        else:
+            x, y := x + 1, y + 1
+    else:
+        if y + x <= 6:
+            y := y + 2
+        else:
+            x := x + 2
+assert y <= 8
+"""
+
+
+def _fz_grid_trap():
+    from repro.experiments.fixpoint_bench import FIXPOINT_WORKLOADS
+
+    source, budget, integer_mode = FIXPOINT_WORKLOADS["fz-grid-trap"]
+    return compile_source(source, name="fz-grid-trap", integer_mode=integer_mode).pts, budget
+
+
+def _per_row_admission(pts, guard_entry, step_headroom, draws, limits):
+    """The admission record's guard and step entries, lowered row by row
+    and stepper by stepper with no sharing."""
+    var_index = {v: i for i, v in enumerate(pts.program_vars)}
+    scale = [int(s) for s in pts.integrality().scale]
+    guards, steps = [], []
+    for ti, t in enumerate(pts.transitions):
+        for k, ineq in enumerate(t.guard.inequalities):
+            guards.append(guard_entry(ineq.expr, var_index, scale, limits, ti, k))
+        for fi, fork in enumerate(t.forks):
+            for di, draw in enumerate(draws):
+                headroom = step_headroom(fork.update, draw, pts.program_vars, var_index, scale, limits)
+                steps.append({"transition": ti, "fork": fi, "draw": di, "headroom": headroom})
+    return guards, steps
+
+
+class TestPlansPerDistinctAtom:
+    """The plans and the checker lower each distinct atom and update once;
+    their records must still equal the row-by-row lowering."""
+
+    @pytest.fixture(params=["fz-grid-trap", "reordered-atoms"])
+    def pts(self, request):
+        if request.param == "fz-grid-trap":
+            return _fz_grid_trap()[0]
+        pts = compile_source(REORDERED_ATOMS, name="reordered").pts
+        orders = {}
+        for t in pts.transitions:
+            for ineq in t.guard.inequalities:
+                orders.setdefault(ineq.expr, set()).add(tuple(n for n, _ in ineq.expr.iter_coeffs()))
+        assert any(len(o) > 1 for o in orders.values())
+        return pts
+
+    def test_plan_admission_matches_the_per_row_lowering(self, pts):
+        plan = fixpoint._compile_int_plan(pts)
+        draws = [draw for _, draw in fixpoint._draw_list(pts)]
+
+        def step_headroom(*args):
+            return fixpoint._step_rows(*args)[2]
+
+        guards, steps = _per_row_admission(pts, fixpoint._guard_row, step_headroom, draws, plan.limits)
+        assert plan.admission["guards"] == guards
+        assert plan.admission["steps"] == steps
+        rows = [g["row"] for g in plan.admission["guards"]]
+        assert len({id(r) for r in rows}) == len(rows)
+
+    def test_checker_admission_matches_the_per_row_lowering(self, pts):
+        from repro.core import runcert
+
+        derived, why = runcert.derive_admission(pts)
+        assert why is None
+        guards, steps = _per_row_admission(
+            pts,
+            runcert._derive_guard_entry,
+            runcert._derive_step_headroom,
+            runcert._draw_values(pts),
+            derived["limits"],
+        )
+        assert derived["guards"] == guards
+        assert derived["steps"] == steps
+        rows = [g["row"] for g in derived["guards"]]
+        assert len({id(r) for r in rows}) == len(rows)
+        assert derived == fixpoint._compile_int_plan(pts).admission
+
+    def test_scalar_bfs_compiles_only_the_guards_it_evaluates(self, monkeypatch):
+        pts, budget = _fz_grid_trap()
+        compiled = []
+        original = fixpoint._compile_guard
+
+        def counting(guard, var_index):
+            compiled.append(guard)
+            return original(guard, var_index)
+
+        monkeypatch.setattr(fixpoint, "_compile_guard", counting)
+        model = build_sparse_model(pts, max_states=budget)
+        assert model.explored_via == "int64"
+        assert len(pts.transitions) == 116
+        assert len(compiled) == 79
+        assert len({id(g) for g in compiled}) == 79  # each at most once

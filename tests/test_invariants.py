@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.invariants as invariants_module
+import repro.polyhedra.constraints as constraints_module
 import repro.programs.fuzzed  # noqa: F401  (registers the promoted fz-* programs)
 from repro.core import exp_lin_syn, hoeffding_synthesis
 from repro.core.fixpoint import build_sparse_model
@@ -190,15 +190,16 @@ assert x <= 7
 
 @pytest.fixture
 def dd_calls(monkeypatch):
-    """Records every call of the generator (double description) path."""
+    """Records every call of the box tightening's generator (double
+    description) path."""
     calls = []
-    original = invariants_module.polyhedron_generators
+    original = constraints_module._project_by_generators
 
-    def counting(poly):
-        calls.append(poly)
-        return original(poly)
+    def counting(box, coupled):
+        calls.append(coupled)
+        return original(box, coupled)
 
-    monkeypatch.setattr(invariants_module, "polyhedron_generators", counting)
+    monkeypatch.setattr(constraints_module, "_project_by_generators", counting)
     return calls
 
 

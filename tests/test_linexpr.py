@@ -1,5 +1,6 @@
 """Tests for exact affine expressions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,7 +110,65 @@ class TestSemantics:
         assert out == e
 
 
+def _fold_substitute(expr, mapping):
+    """The reference: one ``LinExpr`` addition per term."""
+    result = LinExpr.constant(expr.const)
+    for name, coeff in expr.iter_coeffs():
+        if name in mapping:
+            result = result + LinExpr.coerce(mapping[name]) * coeff
+        else:
+            result = result + LinExpr({name: coeff})
+    return result
+
+
+def _layout(expr):
+    """Everything a caller can observe: coefficient order, values and
+    types, and the constant with its type."""
+    items = [(name, coeff, type(coeff)) for name, coeff in expr.iter_coeffs()]
+    return items, expr.const, type(expr.const)
+
+
+class TestSubstituteMatchesTheFold:
+    def test_cancelled_variable_reappears_at_the_end(self):
+        e = var("a") + var("b") + var("c")
+        mapping = {"a": var("x") + var("y"), "b": -var("x"), "c": var("x")}
+        out = e.substitute(mapping)
+        assert [name for name, _ in out.iter_coeffs()] == ["y", "x"]
+        assert _layout(out) == _layout(_fold_substitute(e, mapping))
+
+    def test_seeded_substitutions(self):
+        rng = random.Random(20261020)
+        names = ["a", "b", "c", "x", "y", "z"]
+
+        def coeff():
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+        def expr():
+            among = rng.sample(names, rng.randint(0, 4))
+            return LinExpr({v: coeff() for v in among}, coeff())
+
+        for case in range(3_000):
+            e = expr()
+            mapping = {}
+            for v in rng.sample(names, rng.randint(0, 6)):
+                kind = rng.random()
+                if kind < 0.15:
+                    mapping[v] = rng.randint(-2, 2)  # a number, coerced
+                elif kind < 0.3:
+                    mapping[v] = -e.coeff(v) * var(rng.choice(names)) / 2 if e.coeff(v) else var(v)
+                else:
+                    mapping[v] = expr()
+            out = e.substitute(mapping)
+            assert _layout(out) == _layout(_fold_substitute(e, mapping)), (case, e, mapping)
+
+
 class TestStructure:
+    def test_ordered_key_tells_coefficient_orders_apart(self):
+        xy, yx = LinExpr({"x": 1, "y": 2}, 3), LinExpr({"y": 2, "x": 1}, 3)
+        assert xy == yx and xy.ordered_key() != yx.ordered_key()
+        assert xy.ordered_key() == LinExpr({"x": 1, "y": 2}, 3).ordered_key()
+        assert xy.ordered_key() != LinExpr({"x": 1, "y": 2}, 4).ordered_key()
+
     def test_hash_consistent_with_eq(self):
         a = var("x") + 1
         b = LinExpr({"x": 1}, 1)

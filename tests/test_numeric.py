@@ -135,10 +135,11 @@ class TestHighsCalls:
         from scipy.optimize import linprog as scipy_linprog
 
         cases = [_seeded_lp(seed) for seed in range(240)] + [self.THIN_SLAB]
+        options = {"highs": {}, "highs-ds": {"presolve": False}}
         seen = set()
         for c, kwargs in cases:
             for method in ("highs", "highs-ds"):
-                want = scipy_linprog(c, method=method, **kwargs)
+                want = scipy_linprog(c, method=method, options=options[method], **kwargs)
                 got = lp_module.linprog(c, method=method, **kwargs)
                 assert got.status == SCIPY_STATUS[want.status], (c, kwargs)
                 assert got.nit == want.nit
@@ -147,6 +148,8 @@ class TestHighsCalls:
                     continue
                 assert got.x.tobytes() == want.x.tobytes()
                 assert float(got.fun).hex() == float(want.fun).hex()
+                if method == "highs-ds":
+                    continue  # solve_lp's first attempt is method="highs"
                 res = solve_lp(c, *(kwargs[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq", "bounds")))
                 assert res.x.tobytes() == want.x.tobytes()
                 for j in range(len(c)):
@@ -219,6 +222,10 @@ class TestHighsCalls:
         assert res.ok and res.objective == 3.0
         # perfbench counts a call with method="highs-ds" as lp.retries
         assert methods == ["highs", "highs-ds"]
+        # the retry is independent of the failed attempt: no presolve
+        first, retry = (lp_module._options(m) for m in methods)
+        assert (first.presolve, retry.presolve) == ("on", "off")
+        assert retry.solver == "simplex"
 
     def test_second_failure_raises(self, monkeypatch):
         methods = []

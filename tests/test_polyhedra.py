@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.polyhedra.dd as dd_module
 from repro.errors import ModelError
 from repro.numeric.lp import solve_lp
 from repro.polyhedra import AffineIneq, LinExpr, Polyhedron
@@ -281,3 +282,128 @@ def test_exact_queries_agree_with_highs():
         seen["lines"] += bool(gens.points and gens.lines)
         seen["bounded"] += bounded and not empty
     assert min(seen.values()) >= 5, seen
+
+
+# -- emptiness by bound propagation against the double description ------------------
+
+EMPTINESS_KINDS = ("bounds", "one-coupled", "constant-false", "equality", "unbounded", "slab", "coupled")
+
+
+def _coupled_count(poly):
+    return sum(1 for ineq in poly.inequalities if len(ineq.variables()) > 1)
+
+
+def _emptiness_case(rng, case):
+    """Case ``case``: 0-4 variables and one kind from ``EMPTINESS_KINDS``.
+    Every kind but ``coupled`` has at most one atom over two or more
+    variables; a ``one-coupled`` atom's constant sits within a unit of the
+    box's minimum, so the atom alone decides about half of them."""
+    names = [f"x{i}" for i in range(case % 5)]
+    kind = EMPTINESS_KINDS[(case // 5) % len(EMPTINESS_KINDS)]
+
+    def const():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+    def coupled_expr():
+        among = rng.sample(names, 2) if len(names) >= 2 else names
+        return LinExpr({v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in among})
+
+    box = {}
+    for v in names:
+        lo = const()
+        box[v] = (lo, lo + rng.randint(-1, 4))
+    rows = [
+        AffineIneq.ge(var(v), lo) for v, (lo, _) in box.items() if rng.random() < 0.9
+    ] + [AffineIneq.le(var(v), hi) for v, (_, hi) in box.items() if rng.random() < 0.9]
+    if kind == "one-coupled" and len(names) >= 2:
+        bounded = [v for v in names if box[v][0] <= box[v][1]]
+        rows = [AffineIneq.ge(var(v), box[v][0]) for v in bounded]
+        rows += [AffineIneq.le(var(v), box[v][1]) for v in bounded]
+        e = LinExpr({v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in rng.sample(bounded, min(2, len(bounded)))})
+        low = sum((a * (box[v][0] if a > 0 else box[v][1]) for v, a in e.iter_coeffs()), Fraction(0))
+        rows.append(AffineIneq.le(e, low + rng.choice((-1, -STEP, 0, STEP, 1))))
+    elif kind == "constant-false":
+        rows.append(AffineIneq(LinExpr.constant(rng.choice((STEP, Fraction(1))))))
+    elif kind == "equality":
+        for v in names[:2]:
+            rows.extend(AffineIneq.eq_pair(var(v), const()))
+        if len(names) >= 2:
+            rows.append(AffineIneq.le(coupled_expr(), const()))
+    elif kind == "unbounded":
+        rows = [AffineIneq.ge(var(v), const()) for v in names[1:]]
+        if len(names) >= 2:
+            rows.append(AffineIneq.le(coupled_expr(), const()))
+    elif kind == "slab":
+        for v in names[:2]:
+            c = const()
+            width = rng.choice((STEP, -STEP))
+            rows += [AffineIneq.ge(var(v), c), AffineIneq.le(var(v), c + width)]
+    elif kind == "coupled":
+        rows += [AffineIneq.le(coupled_expr(), const()) for _ in range(rng.randint(2, 3))]
+        if len(names) >= 2 and rng.random() < 0.5:
+            rows.extend(AffineIneq.eq_pair(coupled_expr(), const()))
+    return kind, Polyhedron(names, rows)
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """The polyhedra every double description run is asked for."""
+    calls = []
+    original = dd_module.polyhedron_generators
+
+    def counting(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(dd_module, "polyhedron_generators", counting)
+    return calls
+
+
+class TestEmptinessByBoundPropagation:
+    def test_seeded_polyhedra_agree_with_the_double_description(self, dd_calls):
+        rng = random.Random(20261020)
+        seen = {"propagated": 0, "propagated-empty": 0, "coupled-decides": 0, "dd": 0}
+        for case in range(1_400):
+            kind, poly = _emptiness_case(rng, case)
+            twin = Polyhedron(poly.variables, poly.inequalities)
+            before = len(dd_calls)
+            empty = poly.is_empty()
+            ran_dd = len(dd_calls) - before
+            expected = not twin.generators().points
+            context = f"case {case} ({kind}): {poly}"
+            assert empty == expected, context
+            if _coupled_count(poly) <= 1:
+                assert ran_dd == 0, context
+                seen["propagated"] += 1
+                seen["propagated-empty"] += empty
+                bounds_only = Polyhedron(
+                    poly.variables, [i for i in poly.inequalities if len(i.variables()) <= 1]
+                )
+                seen["coupled-decides"] += empty and not bounds_only.is_empty()
+            else:
+                assert ran_dd == 1, context
+                assert poly.generators() is poly.generators()  # memoized by the query
+                seen["dd"] += 1
+        assert seen["propagated-empty"] >= 100 and seen["propagated"] - seen["propagated-empty"] >= 100, seen
+        assert seen["coupled-decides"] >= 40 and seen["dd"] >= 100, seen
+
+    def test_two_coupled_atoms_reach_the_double_description(self, dd_calls):
+        x, y = var("x"), var("y")
+        one = Polyhedron(["x", "y"], [AffineIneq.le(x + y, 1), AffineIneq.ge(x, 0)])
+        two = Polyhedron(["x", "y"], [AffineIneq.le(x + y, 1), AffineIneq.ge(x - y, 3)])
+        assert not one.is_empty() and not dd_calls
+        assert not two.is_empty() and len(dd_calls) == 1
+        two.generators()
+        assert len(dd_calls) == 1  # the emptiness query left its generators memoized
+
+    def test_memoized_generators_answer_first(self, dd_calls):
+        poly = Polyhedron.from_box({"x": (5, 3)})
+        assert not poly.generators().points and len(dd_calls) == 1
+        assert poly.is_empty() and len(dd_calls) == 1
+
+    def test_false_constant_atom_and_zero_dimensions(self, dd_calls):
+        assert not Polyhedron([], []).is_empty()
+        assert Polyhedron([], [AffineIneq(LinExpr.constant(STEP))]).is_empty()
+        assert Polyhedron(["x"], [AffineIneq(LinExpr.constant(1))]).is_empty()
+        assert not dd_calls
+        assert not dd_module.polyhedron_generators(Polyhedron([], [])).is_empty
