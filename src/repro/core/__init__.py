@@ -30,7 +30,6 @@ from repro.core.certificates import (
     UpperBoundCertificate,
     LowerBoundCertificate,
     log_ptf_transition,
-    sample_psi_points,
 )
 from repro.core.explinsyn import exp_lin_syn
 from repro.core.hoeffding import hoeffding_synthesis, azuma_baseline
@@ -74,7 +73,6 @@ __all__ = [
     "UpperBoundCertificate",
     "LowerBoundCertificate",
     "log_ptf_transition",
-    "sample_psi_points",
     "exp_lin_syn",
     "hoeffding_synthesis",
     "azuma_baseline",

@@ -167,7 +167,6 @@ def exp_lin_syn(
         state_function=state_function,
         pts=pts,
         invariants=invariants,
-        canonical_constraints=list(constraints),
         solve_seconds=time.perf_counter() - start,
         solver_info=f"{solution.method}, violation {solution.max_violation:.1e}",
     )

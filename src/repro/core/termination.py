@@ -18,7 +18,6 @@ premise's double description (one row per point, ray and line).
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -45,35 +44,6 @@ class TerminationCertificate:
         if location not in self.rho.coeffs:
             return 0.0
         return self.rho.exponent(location, valuation)
-
-    def check_on_trajectories(
-        self, pts: PTS, episodes: int = 100, max_steps: int = 5000, seed: int = 3
-    ) -> bool:
-        """Sanity check: the rank stays nonnegative along simulated runs."""
-        rng = random.Random(seed)
-        sampling = sorted(pts.distributions)
-        for _ in range(episodes):
-            location = pts.init_location
-            valuation = {k: float(v) for k, v in pts.init_valuation.items()}
-            for _ in range(max_steps):
-                if pts.is_sink(location):
-                    break
-                if self.rank(location, valuation) < -1e-6:
-                    return False
-                transition = pts.enabled_transition(location, valuation)
-                if transition is None:
-                    break
-                u, acc = rng.random(), 0.0
-                fork = transition.forks[-1]
-                for f in transition.forks:
-                    acc += float(f.probability)
-                    if u <= acc:
-                        fork = f
-                        break
-                draws = {r: pts.distributions[r].sample(rng) for r in sampling}
-                valuation = fork.update.apply_float(valuation, draws)
-                location = fork.destination
-        return True
 
 
 def prove_almost_sure_termination(

@@ -334,8 +334,9 @@ def _compose(first: AffineUpdate, then: AffineUpdate) -> AffineUpdate:
     merge independent draws.
     """
     composed: Dict[str, LinExpr] = {}
-    targets = set(first.assignments) | set(then.assignments)
-    for v in targets:
+    # first's targets, then then's new ones: an ordered union, so the
+    # assignment order does not depend on the string hash seed
+    for v in dict.fromkeys([*first.assignments, *then.assignments]):
         composed[v] = then.expr_for(v).substitute(
             {name: first.expr_for(name) for name in then.expr_for(v).variables()}
         )

@@ -42,28 +42,56 @@ class SimulationResult:
     def mean_steps(self) -> float:
         return self.total_steps / self.episodes if self.episodes else 0.0
 
-    def violation_interval(self, z: float = 3.29) -> Tuple[float, float]:
-        """A (conservative) Wilson score interval for the violation rate.
+    def violation_interval(self, alpha: float = 0.001) -> Tuple[float, float]:
+        """The exact (Clopper–Pearson) two-sided ``1 - alpha`` interval for
+        the violation rate: it misses the true rate with probability at most
+        ``alpha``, whatever that rate is.  The default is a 99.9% interval.
 
         Censored episodes are counted as *potential* violations in the upper
         limit and as potential non-violations in the lower limit, so the
-        interval stays valid even when some runs were cut off.  The default
-        ``z = 3.29`` is a two-sided 99.9% interval.
+        interval stays valid even when some runs were cut off.
         """
-        n = self.episodes
+        n, k = self.episodes, self.violations
         if n == 0:
             return 0.0, 1.0
-        lo = _wilson(self.violations, n, z)[0]
-        hi = _wilson(self.violations + self.censored, n, z)[1]
+        lo = _beta_quantile(alpha / 2, k, n - k + 1, upper=False) if k else 0.0
+        k += self.censored
+        hi = _beta_quantile(1 - alpha / 2, k + 1, n - k, upper=True) if k < n else 1.0
         return lo, hi
 
 
-def _wilson(successes: int, n: int, z: float) -> Tuple[float, float]:
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    margin = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - margin), min(1.0, center + margin)
+def _beta_quantile(q: float, a: float, b: float, upper: bool) -> float:
+    """The ``q``-quantile of Beta(a, b), bisected to within ``2**-60``: the
+    final bracket's upper end when ``upper``, its lower end otherwise."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _beta_cdf(mid, a, b) < q else (lo, mid)
+    return hi if upper else lo
+
+
+def _beta_cdf(x: float, a: float, b: float) -> float:
+    """The regularized incomplete beta function ``I_x(a, b)`` for ``0 < x <
+    1``: its continued fraction (modified Lentz), evaluated on the side of
+    the mean where it converges fast."""
+    flip = x > (a + 1) / (a + b + 2)
+    if flip:
+        x, a, b = 1.0 - x, b, a
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1))
+    fraction = d
+    for m in range(1, 100_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            fraction *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    value = math.exp(log_front + a * math.log(x) + b * math.log1p(-x)) * fraction / a
+    return 1.0 - value if flip else value
 
 
 def simulate(

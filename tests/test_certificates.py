@@ -1,13 +1,14 @@
 """Tests for certificate objects and independent verification."""
 
 import math
-import random
 
 import pytest
 
 from repro.errors import VerificationError
 from repro.lang import compile_source
-from repro.polyhedra import Polyhedron
+from repro.polyhedra import var
+from repro.pts import FAIL, TERM, PTSBuilder
+from repro.pts.distributions import UniformDistribution
 from repro.core import (
     InvariantMap,
     azuma_baseline,
@@ -16,8 +17,8 @@ from repro.core import (
     generate_interval_invariants,
     hoeffding_synthesis,
     log_ptf_transition,
-    sample_psi_points,
 )
+from repro.core.certificates import RepRSMData, UpperBoundCertificate
 from repro.core.templates import ExpTemplate
 
 RACE = """
@@ -73,29 +74,6 @@ class TestLogPtf:
         assert log_ptf_transition(pts, sf, term_t, {"x": 100.0, "y": 0.0}) == float(
             "-inf"
         )
-
-
-class TestSamplePsiPoints:
-    def test_includes_vertices(self):
-        poly = Polyhedron.from_box({"x": (0, 10)})
-        points = sample_psi_points(poly, random.Random(0), count=4)
-        xs = sorted(p["x"] for p in points)
-        assert xs[0] == pytest.approx(0.0)
-        assert any(abs(x - 10.0) < 1e-9 for x in xs)
-
-    def test_unbounded_directions_sampled(self):
-        poly = Polyhedron.from_box({"x": (0, None)})
-        points = sample_psi_points(poly, random.Random(0), count=20)
-        assert max(p["x"] for p in points) > 10.0
-
-    def test_empty_polyhedron(self):
-        poly = Polyhedron.from_box({"x": (3, 1)})
-        assert sample_psi_points(poly, random.Random(0)) == []
-
-    def test_all_points_inside(self):
-        poly = Polyhedron.from_box({"x": (0, 5), "y": (-2, 2)})
-        for p in sample_psi_points(poly, random.Random(1), count=16):
-            assert poly.contains_float(p, tol=1e-6)
 
 
 class TestCertificateAPI:
@@ -220,3 +198,69 @@ class TestPrintedBoundFollowsTheta:
         cert = UPPER[method](compile_source(UNREACHABLE, name="unreachable").pts)
         assert cert.log_bound == float("-inf")
         cert.verify()
+
+
+class TestCompleteCheckCatches:
+    """Violations that a check at a few random sample points misses: a fork
+    slope that grows along a ray, a support-box corner, and a termination
+    RSM that only the generators of its premises show wrong."""
+
+    def test_fork_slope_growing_along_a_ray_rejected(self):
+        # x := 2x + 1 on x >= 0, so the loop's premise is the ray x >= 0
+        b = PTSBuilder(["x"], init={"x": 0}, name="doubling")
+        b.transition(
+            "a", guard=[b.ge(var("x"), 0)],
+            forks=[("a", "1/2", {"x": 2 * var("x") + 1}), (TERM, "1/2", {})],
+        )
+        b.goto("a", FAIL, guard=[b.le(var("x"), -1)])
+        pts = b.build(init_location="a")
+        invariants = generate_interval_invariants(pts)
+        # theta(a, x) = exp(x / 100): the gap ln(1/2) + (x + 1)/100 has
+        # slack at the vertex x = 0 and turns positive only beyond x = 68
+        sf = ExpTemplate(pts).instantiate({ExpTemplate.a_name("a", "x"): 0.01})
+        cert = UpperBoundCertificate("explinsyn", 0.0, sf, pts, invariants)
+        with pytest.raises(VerificationError, match=r"\(D1\)"):
+            cert.verify()
+
+    def test_c4_violated_only_at_a_mixed_corner_rejected(self):
+        # x moves by r1 - r2, extreme at the box corners (0, 1) and (1, 0)
+        b = PTSBuilder(["x", "n"], init={"x": 0, "n": 0}, name="difference")
+        r1 = b.sampling("r1", UniformDistribution(0, 1))
+        r2 = b.sampling("r2", UniformDistribution(0, 1))
+        b.transition(
+            "a", guard=[b.le(var("n"), 9)],
+            forks=[("a", 1, {"x": var("x") + r1 - r2, "n": var("n") + 1})],
+        )
+        b.goto("a", TERM, guard=[b.ge(var("n"), 10)])
+        pts = b.build(init_location="a")
+        template = ExpTemplate(pts, include_sinks=True)
+        # eta = x - n/10 decreases by eps = 1/10 in expectation; its
+        # difference r1 - r2 - 1/10 reaches 0.9 at (1, 0), above beta + delta
+        eta = template.instantiate({
+            template.a_name(loc, v): c
+            for loc in ("a", TERM) for v, c in (("x", 1.0), ("n", -0.1))
+        } | {template.b_name(TERM): -0.1})
+        reprsm = RepRSMData(eta=eta, eps=0.1, beta=-1.1, delta=1.99)
+        cert = UpperBoundCertificate(
+            "azuma", 0.0, ExpTemplate(pts).instantiate({}), pts,
+            generate_interval_invariants(pts), reprsm=reprsm,
+        )
+        with pytest.raises(VerificationError, match=r"\(C4\) difference <= beta \+ delta"):
+            cert.verify()
+        reprsm.delta = 2.0  # the difference's exact range [-1.1, 0.9]
+        cert.verify()
+
+    def test_termination_rsm_not_decreasing_rejected(self):
+        from repro.programs import get_benchmark
+
+        inst = get_benchmark("M1DWalk", p="1e-4")
+        cert = exp_low_syn(inst.pts, inst.invariants)
+        cert.verify()
+        # lower the rank by 1/500: it stays nonnegative, and around the loop
+        # (where only the 1e-4 exit mass loses rank) within tolerance, but
+        # the step into l_fail (rank 0) now starts from rank 0.998 at x = 100
+        cert.termination_certificate.rho.consts[inst.pts.init_location] -= 0.002
+        with pytest.raises(VerificationError) as failure:
+            cert.verify()
+        assert str(failure.value).count("violated") == 1
+        assert "termination RSM decrease violated at 'loop-exit" in str(failure.value)

@@ -171,9 +171,10 @@ class TestBenchWorkflow:
         # with, the §5.2 solve, the §5.1 Ser search, the polyhedral
         # queries, generator rows and invariant premises that filter every
         # section's constraints, the §6 lower bounds with their termination
-        # proofs, the baselines, the LP front-end, or the compiler that
-        # builds every benched PTS, and only through a paths filter (never
-        # the whole pull-request stream)
+        # proofs, the baselines, the LP front-end, the bound verifier every
+        # Table 1/2 bench row calls, or the compiler that builds every
+        # benched PTS, and only through a paths filter (never the whole
+        # pull-request stream)
         pr = triggers["pull_request"]
         assert isinstance(pr, dict) and pr.get("paths")
         assert "src/repro/core/fixpoint*.py" in pr["paths"]
@@ -190,6 +191,7 @@ class TestBenchWorkflow:
         assert "src/repro/core/termination.py" in pr["paths"]
         assert "src/repro/core/baselines.py" in pr["paths"]
         assert "src/repro/numeric/lp.py" in pr["paths"]
+        assert "src/repro/core/certificates.py" in pr["paths"]
         assert "src/repro/lang/**" in pr["paths"]
 
     def test_bench_step_is_non_blocking_and_respects_gate_factor(self):

@@ -1,8 +1,14 @@
 """Tests for the AST -> PTS compiler."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import CompileError
 from repro.lang import ast, compile_source, split_cells
@@ -289,3 +295,23 @@ class TestCompileMisc:
         pts = compile_source(src, integer_mode=False).pts
         r = simulate(pts, episodes=10, seed=0)
         assert r.violation_rate == 0.0
+
+    def test_composed_update_order_does_not_depend_on_hash_seed(self):
+        # the Robot loop's forks are composed updates over i, x and ex; their
+        # assignment order must be the same in every interpreter
+        code = (
+            "from repro.programs import get_benchmark\n"
+            "pts = get_benchmark('Robot').pts\n"
+            "print([list(f.update.assignments) for t in pts.transitions for f in t.forks])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        printed = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            printed.add(run.stdout.strip())
+        assert len(printed) == 1, printed
+        assert "['i', 'x', 'ex']" in printed.pop()

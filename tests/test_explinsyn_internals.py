@@ -10,7 +10,7 @@ from repro.lang import compile_source
 from repro.numeric.convex import ConvexProgram
 from repro.core import exp_lin_syn, generate_interval_invariants
 from repro.core.canonical import canonicalize
-from repro.core.certificates import log_ptf_transition, sample_psi_points
+from repro.core.certificates import log_ptf_transition
 from repro.core.explinsyn import _eliminate, _expand_term_at_point
 from repro.core.templates import ExpTemplate
 
@@ -81,7 +81,17 @@ class TestEliminate:
                 transition = next(
                     t for t in pts.transitions if t.name == con.transition_name
                 )
-                for point in sample_psi_points(con.psi, rng, count=2):
+                # the generator points and a seeded convex combination of them
+                gens = con.psi.generators()
+                weights = [rng.random() for _ in gens.points]
+                points = gens.point_valuations() + [
+                    {
+                        v: sum(w * float(p[i]) for w, p in zip(weights, gens.points))
+                        / sum(weights)
+                        for i, v in enumerate(gens.variables)
+                    }
+                ]
+                for point in points:
                     direct = log_ptf_transition(pts, sf, transition, point)
                     # canonical: log(sum p_j exp(alpha.v + beta)) + eta_src
                     parts = []

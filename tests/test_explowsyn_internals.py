@@ -101,15 +101,12 @@ class TestBoundedness:
         assert cert.bound_m >= 1.0
 
     def test_exponent_below_m_on_samples(self):
-        import random
-
-        from repro.core.certificates import sample_psi_points
-
         pts = walk()
         cert = exp_low_syn(pts)
-        rng = random.Random(0)
         log_m = math.log(cert.bound_m)
-        for loc in cert.state_function.coeffs:
-            inv = cert.invariants.of(loc)
-            for point in sample_psi_points(inv, rng, count=6):
+        for loc, row in cert.state_function.coeffs.items():
+            gens = cert.invariants.of(loc).generators()
+            for point in gens.point_valuations():
                 assert cert.state_function.exponent(loc, point) <= log_m + 1e-6
+            for ray in gens.rays:  # and the exponent does not grow beyond them
+                assert sum(row[v] * float(d) for v, d in zip(gens.variables, ray)) <= 0

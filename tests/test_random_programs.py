@@ -26,7 +26,13 @@ from repro.pts import simulate, validate_pts
 from repro.core import exp_lin_syn, value_iteration
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: programs drawn per run of the pipeline test
+PIPELINE_EXAMPLES = 15
+
+
+@settings(
+    max_examples=PIPELINE_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_random_program_pipeline(seed):
     rng = random.Random(seed)
@@ -42,9 +48,11 @@ def test_random_program_pipeline(seed):
     assert vi.tight, source
     vpf = 0.5 * (vi.lower + vi.upper)
 
-    # simulation agrees within its confidence interval
+    # simulation agrees within its exact confidence interval; each of the
+    # run's draws may miss with probability 0.001 / PIPELINE_EXAMPLES, so a
+    # whole run holds the 99.9% level
     sim = simulate(pts, episodes=1200, seed=seed)
-    lo, hi = sim.violation_interval()
+    lo, hi = sim.violation_interval(alpha=0.001 / PIPELINE_EXAMPLES)
     assert lo - 1e-9 <= vpf <= hi + 1e-9, source
 
     # the complete algorithm upper-bounds the truth, up to solver precision:

@@ -68,6 +68,21 @@ class TestSimulate:
         lo, hi = result.violation_interval()
         assert lo <= 0.25 <= hi
 
+    @pytest.mark.parametrize("k, n", [(0, 1200), (1, 1200), (600, 1200), (1198, 1200), (3, 8000)])
+    def test_interval_is_exact_clopper_pearson(self, k, n):
+        from scipy.stats import beta
+
+        from repro.pts.simulator import SimulationResult
+
+        for alpha in (0.05, 0.001):
+            lo, hi = SimulationResult(n, k, n - k, 0, 0).violation_interval(alpha)
+            assert lo == pytest.approx(beta.ppf(alpha / 2, k, n - k + 1) if k else 0.0, rel=1e-9)
+            assert hi == pytest.approx(beta.ppf(1 - alpha / 2, k + 1, n - k), rel=1e-9)
+        # 1 198 violations of 1 200 runs at the true rate 0.9997754: the
+        # 99.9% Wilson score interval ended at 0.9997709 and missed it
+        if k == 1198:
+            assert lo <= 0.9997754 <= hi
+
     def test_incomplete_pts_raises(self):
         b = PTSBuilder(["x"], init={"x": 5}, name="hole")
         b.goto("a", TERM, guard=[b.le(var("x"), 0)])

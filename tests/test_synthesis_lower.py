@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import SynthesisError
+from repro.errors import SynthesisError, VerificationError
 from repro.lang import compile_source
 from repro.core import exp_low_syn, prove_almost_sure_termination, value_iteration
 
@@ -34,9 +34,14 @@ class TestTermination:
         init = {k: float(v) for k, v in walk_pts.init_valuation.items()}
         assert cert.rank(walk_pts.init_location, init) >= 0
 
-    def test_rsm_checked_on_trajectories(self, walk_pts):
-        cert = prove_almost_sure_termination(walk_pts)
-        assert cert.check_on_trajectories(walk_pts, episodes=40)
+    def test_rsm_checked_by_verify(self, walk_pts):
+        # the lower bound's verify() re-checks the attached RSM on every
+        # invariant and premise: a rank lowered below 0 at x = 100 is caught
+        cert = exp_low_syn(walk_pts)
+        cert.verify()
+        cert.termination_certificate.rho.consts[walk_pts.init_location] -= 2.0
+        with pytest.raises(VerificationError, match="rho >= 0 violated"):
+            cert.verify()
 
     def test_rank_zero_at_sinks(self, walk_pts):
         cert = prove_almost_sure_termination(walk_pts)
